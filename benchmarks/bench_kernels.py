@@ -1,24 +1,16 @@
-"""Time the integer kernels: pure Python against the compiled extension.
+"""Time the four integer kernels of cflat.zlinalg.backend on seeded inputs.
 
 Run from the repository root:
 
     python3 benchmarks/bench_kernels.py            # default sizes
     python3 benchmarks/bench_kernels.py --repeat 5
-
-If the compiled extension is not built the script still runs and
-reports pure-Python timings only.
 """
 
 import argparse
 import random
 import time
 
-from cflat.zlinalg import _kernel_py
-
-try:
-    from cflat.zlinalg import _kernel_c
-except ImportError:
-    _kernel_c = None
+from cflat.zlinalg import backend
 
 SEED = 20260816
 
@@ -31,33 +23,33 @@ def identity_lists(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def bench_snf(impl, mats):
+def bench_snf(mats):
     for m in mats:
         n = len(m)
         d = [row[:] for row in m]
-        impl.snf_inplace(d, identity_lists(n), identity_lists(n))
+        backend.snf_inplace(d, identity_lists(n), identity_lists(n))
 
 
-def bench_det(impl, mats):
+def bench_det(mats):
     for m in mats:
-        impl.det_inplace([row[:] for row in m])
+        backend.det_inplace([row[:] for row in m])
 
 
-def bench_rank(impl, mats):
+def bench_rank(mats):
     for m in mats:
-        impl.rank_mod_inplace([row[:] for row in m], 3)
+        backend.rank_mod_inplace([row[:] for row in m], 3)
 
 
-def bench_matmul(impl, mats):
+def bench_matmul(mats):
     for m in mats:
-        impl.matmul(m, m)
+        backend.matmul(m, m)
 
 
-def time_case(fn, impl, mats, repeat):
+def time_case(fn, mats, repeat):
     best = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(impl, mats)
+        fn(mats)
         dt = time.perf_counter() - t0
         if best is None or dt < best:
             best = dt
@@ -80,21 +72,11 @@ def main():
         ("matmul 64x64 x10", bench_matmul, [rand_lists(rng, 64, 64, 30) for _ in range(10)]),
     ]
 
-    if _kernel_c is None:
-        print("compiled kernel: not built (pure-Python timings only)")
-    else:
-        print("compiled kernel: available")
-    header = f"{'case':<22}{'pure (s)':>12}{'compiled (s)':>14}{'speedup':>10}"
+    header = f"{'case':<22}{'best (s)':>12}"
     print(header)
     print("-" * len(header))
     for name, fn, mats in cases:
-        pure = time_case(fn, _kernel_py, mats, args.repeat)
-        if _kernel_c is None:
-            print(f"{name:<22}{pure:>12.4f}{'-':>14}{'-':>10}")
-        else:
-            comp = time_case(fn, _kernel_c, mats, args.repeat)
-            ratio = pure / comp if comp > 0 else float("inf")
-            print(f"{name:<22}{pure:>12.4f}{comp:>14.4f}{ratio:>9.2f}x")
+        print(f"{name:<22}{time_case(fn, mats, args.repeat):>12.4f}")
 
 
 if __name__ == "__main__":

@@ -442,46 +442,32 @@ def _check_angles(angles: tuple[Fraction, ...], count: int) -> tuple[Fraction, .
     return normd
 
 
-def _orbit_min(start: tuple, moves) -> tuple:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for mv in moves:
-                moved = mv(state)
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return min(seen)
-
-
 def torus_moduli_canonical(angles: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     """Canonical representative of a rotation-angle pair on the torus
     under the integral linear action: the lexicographically least
-    element of the orbit."""
+    element of the orbit.
+
+    GL2(Z) maps onto the determinant +-1 part of GL2(Z/n), which acts
+    transitively on the elements of order n in (Z/n)^2.  So the orbit is
+    every pair of the same order n (the lcm of the denominators), and
+    its least element is (0, 1/n mod 1).
+    """
     a, b = _check_angles(tuple(angles), 2)
-    moves = [
-        lambda st: ((-st[1]) % 1, st[0]),
-        lambda st: ((st[0] + st[1]) % 1, st[1]),
-        lambda st: ((st[0] - st[1]) % 1, st[1]),
-        lambda st: ((-st[0]) % 1, st[1]),
-    ]
-    return _orbit_min((a, b), moves)
+    return (Fraction(0), Fraction(1, lcm(a.denominator, b.denominator)) % 1)
 
 
 def klein_rho_canonical(angles: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     """Canonical representative under the relation identifying
-    (a, b) with (e1*a, e2*(b - k*a)) for signs e1, e2 and integer k."""
+    (a, b) with (e1*a, e2*(b - k*a)) for signs e1, e2 and integer k.
+
+    The moves never change the subgroup <a> = (1/den a)Z/Z, so the least
+    element takes a to min(a, -a) and b to the least of +-b modulo
+    1/den a.
+    """
     a, b = _check_angles(tuple(angles), 2)
-    moves = [
-        lambda st: ((-st[0]) % 1, st[1]),
-        lambda st: (st[0], (-st[1]) % 1),
-        lambda st: (st[0], (st[1] - st[0]) % 1),
-        lambda st: (st[0], (st[1] + st[0]) % 1),
-    ]
-    return _orbit_min((a, b), moves)
+    step = Fraction(1, a.denominator)
+    r = b % step
+    return (min(a, (-a) % 1), min(r, (-r) % step))
 
 
 def circle_canonical(angle: Fraction) -> Fraction:

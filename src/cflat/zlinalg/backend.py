@@ -1,20 +1,228 @@
-"""Kernel backend selection.
+"""Exact integer elimination kernels.
 
-Prefers the compiled extension when it was built, otherwise falls back
-to the pure-Python twin.  ``KERNEL_BACKEND`` names the one in use
-("c" or "python"); both modules expose the same four functions with
-bit-identical behaviour (``tests/test_backends.py`` pins that, and
-``benchmarks/bench_kernels.py`` compares their speed).
+These are the inner loops everything else sits on: Smith reduction,
+mod-p Gaussian elimination, fraction-free determinants and matrix
+products, all on plain lists of lists of Python ints (arbitrary
+precision, no floating point anywhere).  Callers validate their
+matrices before handing them in; nothing here re-checks entries.
+
+``KERNEL_BACKEND`` names this implementation; result records stamp it
+so timings are only compared between runs of the same kernels.
 """
 
-try:
-    from . import _kernel_c as _impl
-except ImportError:  # extension not built -- pure fallback
-    from . import _kernel_py as _impl
+KERNEL_BACKEND: str = "python"
 
-KERNEL_BACKEND: str = _impl.BACKEND_NAME
 
-snf_inplace = _impl.snf_inplace
-rank_mod_inplace = _impl.rank_mod_inplace
-det_inplace = _impl.det_inplace
-matmul = _impl.matmul
+def _swap_cols(m, a, b):
+    for row in m:
+        row[a], row[b] = row[b], row[a]
+
+
+def _negate_row(m, i):
+    row = m[i]
+    for j in range(len(row)):
+        row[j] = -row[j]
+
+
+def _row_sub(m, i, t, q):
+    # row i -= q * row t
+    ri = m[i]
+    rt = m[t]
+    for j in range(len(ri)):
+        ri[j] -= q * rt[j]
+
+
+def _row_add(m, t, i):
+    # row t += row i
+    rt = m[t]
+    ri = m[i]
+    for j in range(len(rt)):
+        rt[j] += ri[j]
+
+
+def _col_sub(m, j, t, q):
+    # col j -= q * col t
+    for row in m:
+        row[j] -= q * row[t]
+
+
+def snf_inplace(d, u, v):
+    """Reduce ``d`` to Smith normal form in place.
+
+    ``u`` and ``v`` must come in as identity matrices of the row and
+    column dimension; every elementary operation applied to ``d`` is
+    mirrored into them, so ``u * d_original * v == d_final`` holds on
+    exit with ``u`` and ``v`` unimodular.  The final ``d`` is diagonal
+    with nonnegative entries forming a divisibility chain.
+
+    Pivot rule: the entry of smallest nonzero magnitude in the
+    untouched block, first match in row-major scan order.
+    """
+    nr = len(d)
+    nc = len(d[0]) if nr else 0
+    limit = min(nr, nc)
+    t = 0
+    while t < limit:
+        best_i = -1
+        best_j = -1
+        best = 0
+        for i in range(t, nr):
+            di = d[i]
+            for j in range(t, nc):
+                e = di[j]
+                if e:
+                    if e < 0:
+                        e = -e
+                    if best_i < 0 or e < best:
+                        best = e
+                        best_i = i
+                        best_j = j
+        if best_i < 0:
+            break  # nothing nonzero left
+        if best_i != t:
+            d[t], d[best_i] = d[best_i], d[t]
+            u[t], u[best_i] = u[best_i], u[t]
+        if best_j != t:
+            _swap_cols(d, t, best_j)
+            _swap_cols(v, t, best_j)
+        while True:
+            p = d[t][t]
+            if p < 0:
+                _negate_row(d, t)
+                _negate_row(u, t)
+                p = -p
+            again = False
+            for i in range(t + 1, nr):
+                e = d[i][t]
+                if e:
+                    q = e // p
+                    if q:
+                        _row_sub(d, i, t, q)
+                        _row_sub(u, i, t, q)
+                    if d[i][t]:
+                        # remainder beats the pivot; promote it
+                        d[t], d[i] = d[i], d[t]
+                        u[t], u[i] = u[i], u[t]
+                        again = True
+                        break
+            if again:
+                continue
+            for j in range(t + 1, nc):
+                e = d[t][j]
+                if e:
+                    q = e // p
+                    if q:
+                        _col_sub(d, j, t, q)
+                        _col_sub(v, j, t, q)
+                    if d[t][j]:
+                        _swap_cols(d, t, j)
+                        _swap_cols(v, t, j)
+                        again = True
+                        break
+            if again:
+                continue
+            break
+        # the pivot must divide the whole remaining block for the
+        # divisor chain; fold an offending row into row t and redo
+        p = d[t][t]
+        clean = True
+        for i in range(t + 1, nr):
+            di = d[i]
+            for j in range(t + 1, nc):
+                if di[j] % p:
+                    _row_add(d, t, i)
+                    _row_add(u, t, i)
+                    clean = False
+                    break
+            if not clean:
+                break
+        if clean:
+            t += 1
+
+
+def rank_mod_inplace(m, p):
+    """Rank of ``m`` over the field with ``p`` elements (``p`` prime).
+
+    Destroys ``m``.  Caller guarantees primality.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    for i in range(nr):
+        mi = m[i]
+        for j in range(nc):
+            mi[j] %= p
+    rank = 0
+    col = 0
+    while rank < nr and col < nc:
+        piv = -1
+        for i in range(rank, nr):
+            if m[i][col]:
+                piv = i
+                break
+        if piv < 0:
+            col += 1
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+        row = m[rank]
+        inv = pow(row[col], -1, p)
+        for j in range(col, nc):
+            row[j] = row[j] * inv % p
+        for i in range(nr):
+            if i != rank and m[i][col]:
+                f = m[i][col]
+                mi = m[i]
+                for j in range(col, nc):
+                    mi[j] = (mi[j] - f * row[j]) % p
+        rank += 1
+        col += 1
+    return rank
+
+
+def det_inplace(m):
+    """Determinant by fraction-free (Bareiss) elimination.  Destroys ``m``."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = -1
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    piv = i
+                    break
+            if piv < 0:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        pkk = m[k][k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mk = m[k]
+            mik = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pkk - mik * mk[j]) // prev
+            mi[k] = 0
+        prev = pkk
+    return sign * m[n - 1][n - 1]
+
+
+def matmul(a, b):
+    """Product of two lists-of-lists; inner dimensions must agree."""
+    n = len(a)
+    k = len(b)
+    nc = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = [0] * nc
+        for t in range(k):
+            f = ai[t]
+            if f:
+                bt = b[t]
+                for j in range(nc):
+                    row[j] += f * bt[j]
+        out.append(row)
+    return out

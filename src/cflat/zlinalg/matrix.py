@@ -2,6 +2,11 @@
 
 ``IntMatrix`` is an immutable rectangular matrix of Python ints.  All
 operations are exact; nothing here ever touches floating point.
+
+Entries are checked once, where a matrix enters the program: the public
+constructor and ``from_columns``.  Matrices computed from matrices that
+already passed (products, sums, transposes, Smith transforms) are built
+with the unchecked ``IntMatrix._of``.
 """
 
 from __future__ import annotations
@@ -34,11 +39,22 @@ class IntMatrix:
                 for e in row:
                     if not isinstance(e, int) or isinstance(e, bool):
                         raise DomainError(f"non-integer matrix entry {e!r}")
-        else:
-            width = 0
+        self._fill(data)
+
+    @classmethod
+    def _of(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
+        """Wrap rectangular rows of ints without checking them.
+
+        Only for rows computed from entries that were already checked.
+        """
+        self = object.__new__(cls)
+        self._fill(tuple(map(tuple, rows)))
+        return self
+
+    def _fill(self, data: tuple[tuple[int, ...], ...]) -> None:
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", width)
+        object.__setattr__(self, "cols", len(data[0]) if data else 0)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -47,20 +63,27 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)])
+        return cls._of([[0] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        """Build a matrix whose j-th column is ``columns[j]``."""
+        """Build a matrix whose j-th column is ``columns[j]``.
+
+        Every column must have the same length, and that length must be
+        ``rows`` when ``rows`` is given.
+        """
         if not columns:
             if rows is None:
                 raise DomainError("from_columns with no columns needs an explicit row count")
             return cls([[] for _ in range(rows)])
-        height = len(columns[0])
+        height = len(columns[0]) if rows is None else rows
+        for col in columns:
+            if len(col) != height:
+                raise DomainError(f"column of length {len(col)} in a matrix with {height} rows")
         return cls([[col[i] for col in columns] for i in range(height)])
 
     # -- access ------------------------------------------------------
@@ -104,11 +127,11 @@ class IntMatrix:
             raise DomainError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return IntMatrix(backend.matmul(self.to_lists(), other.to_lists()))
+        return IntMatrix._of(backend.matmul(self.to_lists(), other.to_lists()))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -117,7 +140,7 @@ class IntMatrix:
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(
+        return IntMatrix._of(
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
@@ -125,10 +148,11 @@ class IntMatrix:
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-e for e in row] for row in self._data])
+        return IntMatrix._of([[-e for e in row] for row in self._data])
 
     def scale(self, c: int) -> "IntMatrix":
-        return IntMatrix([[c * e for e in row] for row in self._data])
+        _check_scalar(c)
+        return IntMatrix._of([[c * e for e in row] for row in self._data])
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -137,9 +161,7 @@ class IntMatrix:
             )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
+        return IntMatrix._of(zip(*self._data))
 
     def apply_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -169,7 +191,8 @@ class IntMatrix:
         return backend.det_inplace(self.to_lists())
 
     def mod(self, m: int) -> "IntMatrix":
-        return IntMatrix([[e % m for e in row] for row in self._data])
+        _check_scalar(m)
+        return IntMatrix._of([[e % m for e in row] for row in self._data])
 
     # -- equality / hashing / repr -----------------------------------
 
@@ -182,3 +205,8 @@ class IntMatrix:
     def __repr__(self) -> str:
         body = ", ".join(str(list(row)) for row in self._data)
         return f"IntMatrix([{body}])"
+
+
+def _check_scalar(c) -> None:
+    if not isinstance(c, int):
+        raise DomainError(f"non-integer scalar {c!r}")

@@ -82,7 +82,7 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     u = IntMatrix.identity(m.rows).to_lists()
     v = IntMatrix.identity(m.cols).to_lists()
     backend.snf_inplace(d, u, v)
-    return SNFDecomposition(matrix=m, d=IntMatrix(d), u=IntMatrix(u), v=IntMatrix(v))
+    return SNFDecomposition(matrix=m, d=IntMatrix._of(d), u=IntMatrix._of(u), v=IntMatrix._of(v))
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

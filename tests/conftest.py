@@ -131,3 +131,38 @@ def random_angles(rng: random.Random, count: int, max_denom: int) -> tuple[Fract
         p = rng.randrange(q)
         out.append(Fraction(p, q))
     return tuple(out)
+
+
+# Orbit search: the oracle for the closed-form canonical forms in
+# cflat.classify.  The moves generate the torus's integral linear action
+# and the Klein relation (a, b) ~ (e1*a, e2*(b - k*a)) on angle pairs.
+
+TORUS_MOVES = (
+    lambda st: ((-st[1]) % 1, st[0]),
+    lambda st: ((st[0] + st[1]) % 1, st[1]),
+    lambda st: ((st[0] - st[1]) % 1, st[1]),
+    lambda st: ((-st[0]) % 1, st[1]),
+)
+
+KLEIN_RHO_MOVES = (
+    lambda st: ((-st[0]) % 1, st[1]),
+    lambda st: (st[0], (-st[1]) % 1),
+    lambda st: (st[0], (st[1] - st[0]) % 1),
+    lambda st: (st[0], (st[1] + st[0]) % 1),
+)
+
+
+def orbit(start: tuple, moves) -> set:
+    """Every state reachable from ``start`` (breadth-first search)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for mv in moves:
+                moved = mv(state)
+                if moved not in seen:
+                    seen.add(moved)
+                    nxt.append(moved)
+        frontier = nxt
+    return seen

@@ -3,10 +3,11 @@ and the counting bound, checked against hand-verifiable cases."""
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from conftest import SEED, random_angles
+from conftest import KLEIN_RHO_MOVES, SEED, TORUS_MOVES, orbit, random_angles
 from cflat.classify import (
     affine_class_bound,
     affine_equivalent,
@@ -146,20 +147,6 @@ def test_stably_diffeomorphic():
 # canonical forms
 # ----------------------------------------------------------------------
 
-TORUS_MOVES = (
-    lambda st: ((-st[1]) % 1, st[0]),
-    lambda st: ((st[0] + st[1]) % 1, st[1]),
-    lambda st: ((st[0] - st[1]) % 1, st[1]),
-    lambda st: ((-st[0]) % 1, st[1]),
-)
-
-RHO_MOVES = (
-    lambda st: ((-st[0]) % 1, st[1]),
-    lambda st: (st[0], (-st[1]) % 1),
-    lambda st: (st[0], (st[1] - st[0]) % 1),
-)
-
-
 def test_torus_canonical_identifications():
     c = torus_moduli_canonical((F(1, 2), F(0)))
     assert c == torus_moduli_canonical((F(0), F(1, 2)))
@@ -202,8 +189,26 @@ def test_canonical_forms_are_orbit_invariants():
         assert klein_rho_canonical(canon) == canon
         moved = pair
         for _ in range(rng.randint(1, 6)):
-            moved = rng.choice(RHO_MOVES)(moved)
+            moved = rng.choice(KLEIN_RHO_MOVES)(moved)
         assert klein_rho_canonical(moved) == canon
+
+
+def test_canonical_forms_match_orbit_oracle():
+    """Closed forms against the orbit search, on every angle pair whose
+    denominators have lcm <= 16.  The set is closed under the moves, so
+    each orbit is searched once and every member is checked against it."""
+    fracs = sorted({F(p, q) for q in range(1, 17) for p in range(q)})
+    pairs = [(a, b) for a in fracs for b in fracs if lcm(a.denominator, b.denominator) <= 16]
+    assert len(pairs) == 1224
+    for canonical, moves in ((torus_moduli_canonical, TORUS_MOVES), (klein_rho_canonical, KLEIN_RHO_MOVES)):
+        unchecked = set(pairs)
+        for pair in pairs:
+            if pair in unchecked:
+                members = orbit(pair, moves)
+                least = min(members)
+                assert all(canonical(m) == least for m in members)
+                unchecked -= members
+    assert torus_moduli_canonical((F(1, 64), F(0))) == min(orbit((F(1, 64), F(0)), TORUS_MOVES))
 
 
 def test_canonical_denominator_bound():
@@ -316,8 +321,6 @@ def test_bound_dominates_enumerated_classes():
     """Enumerate the actual affine classes of single complex planes
     over the torus whose holonomy image is exactly Z/k and check the
     counting bound really is an upper bound."""
-    from math import lcm
-
     for k in (2, 3, 4):
         chars = []
         for p in range(k):

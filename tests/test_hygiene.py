@@ -1,0 +1,25 @@
+"""Repository hygiene: the checkout tracks no file that .gitignore excludes,
+such as build output, egg-info metadata or saved test logs."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+def test_no_ignored_file_is_tracked():
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    top = _git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()).resolve() != ROOT:
+        pytest.skip("not a git checkout of this repository")
+    listed = _git("ls-files", "-ci", "--exclude-standard")
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout == ""
