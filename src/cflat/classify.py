@@ -2,19 +2,24 @@
 bases, canonical forms for the rank-2 moduli, and affine-equivalence
 search.
 
-The diffeomorphism-class oracle enumerates all multisets of flat real
-line bundles of the right rank, computes their Whitney data, and takes
-orbits under the induced action of the base's mapper-class group on
-degree-one and degree-two mod-2 cohomology.  Published class counts
-are cross-reported: when the oracle disagrees with a recorded count
-the disagreement is surfaced as data, never patched over.
+The diffeomorphism-class oracle finds every Whitney pair (w1, w2)
+realized by a sum of flat real line bundles of the right rank, and
+takes orbits under the induced action of the base's mapping-class group
+on degree-one and degree-two mod-2 cohomology.  It does not enumerate
+the multisets of line classes.  Mod 2 and truncated at degree two,
+(1 + L)^2 = 1 + L^2 and (1 + L)^4 = 1, so four copies of a line change
+nothing; every realized pair therefore has a realizer with at most three
+copies of each nontrivial line class, and the search runs over those
+count vectors only (at most 64 of them).  Published class counts are
+cross-reported: when the oracle disagrees with a recorded count the
+disagreement is surfaced as data, never patched over.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import product
 from math import comb, gcd, lcm
 
 from .errors import DomainError, InternalCheckError
@@ -23,7 +28,9 @@ from .flatbundle import (
     LineRep,
     Mod2Class,
     base_data,
+    cup_table,
     line_with_w1,
+    mod2_add,
     sw_vector,
     total_holonomy,
 )
@@ -153,26 +160,38 @@ class DiffeoClass:
     bundle: FlatBundleSpec
 
 
-def _sw_key(base: str, bundle_lines: tuple[Mod2Class, ...]) -> tuple:
-    reps = tuple(line_with_w1(base, bits) for bits in bundle_lines)
-    vec = sw_vector(FlatBundleSpec(base, reps))
-    return (vec.w1, vec.w2)
-
-
 def _realized_values(base: str, s: int) -> dict[tuple, tuple[Mod2Class, ...]]:
-    """Map (w1, w2) -> the nicest multiset of line classes realizing it."""
-    classes = _line_classes(base)
-    realized: dict[tuple, tuple[Mod2Class, ...]] = {}
-    for multiset in combinations_with_replacement(classes, s):
-        value = _sw_key(base, multiset)
-        nontrivial = sum(1 for b in multiset if any(b))
-        key = (nontrivial, multiset)
-        if value not in realized or key < (
-            sum(1 for b in realized[value] if any(b)),
-            realized[value],
-        ):
-            realized[value] = multiset
-    return realized
+    """Map (w1, w2) -> the least multiset of s line classes realizing it.
+
+    Least means fewest nontrivial lines first, then the least tuple.  A
+    least realizer never holds four copies of a class, since dropping
+    them leaves the Whitney data unchanged, so the search runs over
+    count vectors in {0..3}^(classes - 1) with at most s lines.  Each
+    candidate's data comes from the Whitney rule
+    (w1, w2) -> (w1 + L, w2 + w1 L), one line at a time.  Padding with
+    the trivial class changes neither the data nor the order among
+    realizers with the same number of nontrivial lines, so the realizer
+    is the trivial class s - n times followed by the n nontrivial lines
+    in class order.
+    """
+    theta, *nontrivial = _line_classes(base)
+    table = cup_table(base)
+    surface = base_data(base).spec.dim == 2
+    best: dict[tuple, tuple[int, tuple[Mod2Class, ...]]] = {}
+    for counts in product(range(4), repeat=len(nontrivial)):
+        n = sum(counts)
+        if n > s:
+            continue
+        lines = tuple([bits for bits, c in zip(nontrivial, counts) for _ in range(c)])
+        w1, w2 = theta, 0
+        for bits in lines:
+            w2 += table.cup(w1, bits)
+            w1 = mod2_add(w1, bits)
+        value = (w1, w2 % 2 if surface else None)
+        key = (n, lines)
+        if value not in best or key < best[value]:
+            best[value] = key
+    return {value: (theta,) * (s - n) + lines for value, (n, lines) in best.items()}
 
 
 def _class_label(base: str, multiset: tuple[Mod2Class, ...], s: int) -> str:
@@ -190,10 +209,14 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     """Diffeomorphism classes of rank-(total_dim - dim base) sums of
     flat real line bundles over the base.
 
-    Enumerates exact-size multisets of line classes (the trivial class
-    included, which is what padding means in the stable range), groups
-    the realized Whitney data into automorphism orbits, and returns one
-    class per orbit, deterministically ordered.
+    Finds every realized Whitney pair with its least realizing multiset
+    of line classes (the trivial class included, which is what padding
+    means in the stable range) by the bounded search of
+    ``_realized_values``: four copies of a line change nothing, so at
+    most three copies of each nontrivial class are ever needed.  Groups
+    the pairs into automorphism orbits and returns one class per orbit,
+    deterministically ordered.  Each class's realizer is re-checked
+    with ``sw_vector``.
     """
     if base not in _SURFACE_BASES:
         raise DomainError(f"classification implemented over {_SURFACE_BASES}")
@@ -219,11 +242,15 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
         w1, w2 = value
         key = (action.orbit_min(w1), w2)
         orbits.setdefault(key, []).append(value)
+    line_reps = {bits: line_with_w1(base, bits) for bits in _line_classes(base)}
     out = []
     for key in sorted(orbits, key=lambda k: (k[1] if k[1] is not None else 0, k[0])):
         members = sorted(orbits[key])
         multiset = realized[members[0]]
-        reps = tuple(line_with_w1(base, bits) for bits in multiset)
+        nontrivial = FlatBundleSpec(base, tuple([line_reps[bits] for bits in multiset if any(bits)]))
+        vec = sw_vector(nontrivial)
+        if (vec.w1, vec.w2) != members[0]:
+            raise InternalCheckError("a class realizer does not carry its Whitney data")
         out.append(
             DiffeoClass(
                 base=base,
@@ -232,7 +259,7 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
                 w1=members[0][0],
                 w2=members[0][1],
                 orbit=tuple(members),
-                bundle=FlatBundleSpec(base, reps),
+                bundle=FlatBundleSpec(base, tuple([line_reps[bits] for bits in multiset])),
             )
         )
     return out

@@ -357,8 +357,10 @@ def tangent_w1(base: str) -> Mod2Class:
     return tuple(bits)
 
 
+@lru_cache(maxsize=None)
 def cup_table(base: str) -> CupTable:
-    """The mod-2 cup pairing of a dimension <= 2 base, health-checked.
+    """The mod-2 cup pairing of a dimension <= 2 base, health-checked
+    once per base.
 
     Checks: symmetry; nondegeneracy for the closed surfaces; and the
     Wu relation w1^2 = w2 = 0 for the (flat, zero Euler characteristic)
@@ -405,35 +407,31 @@ class CharClassVector:
 def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
     """Stiefel-Whitney data of a sum of flat line bundles.
 
-    w1 adds over the real summands.  w2 (surface bases only) is the
-    Whitney pairwise sum of the real first classes plus the mod-2
-    reductions of the complex summands' Chern classes.
+    One pass over the real summands applies the Whitney product formula
+    w(E + L) = w(E)(1 + L): adding a line L maps (w1, w2) to
+    (w1 + L, w2 + w1 L).  By bilinearity of the cup product the w2 so
+    built is the pairwise sum of the real first classes.  Over a surface
+    w2 also gets the mod-2 reductions of the complex summands' Chern
+    classes; over the circle it is None.
     """
-    data = base_data(bundle.base)
-    dim = data.spec.dim
+    base = bundle.base
+    dim = base_data(base).spec.dim
     if dim > 2:
         raise DomainError("Whitney vectors are computed over bases of dimension <= 2")
-    w1 = orientation_character(bundle)
-    c1s = tuple(
-        c1_of_line(bundle.base, rep)
-        for rep in bundle.summands
-        if rep.kind == "complex"
-    )
-    if dim == 1:
-        return CharClassVector(base=bundle.base, w1=w1, w2=None, c1=c1s)
-    table = cup_table(bundle.base)
-    real_w1s = [
-        w1_of_line(bundle.base, rep)
-        for rep in bundle.summands
-        if rep.kind == "real"
-    ]
+    table = cup_table(base)
+    w1 = mod2_zero(base)
     w2 = 0
-    for i in range(len(real_w1s)):
-        for j in range(i + 1, len(real_w1s)):
-            w2 += table.cup(real_w1s[i], real_w1s[j])
+    for rep in bundle.summands:
+        if rep.kind == "real":
+            bits = w1_of_line(base, rep)
+            w2 += table.cup(w1, bits)
+            w1 = mod2_add(w1, bits)
+    c1s = tuple(c1_of_line(base, rep) for rep in bundle.summands if rep.kind == "complex")
+    if dim == 1:
+        return CharClassVector(base=base, w1=w1, w2=None, c1=c1s)
     for c in c1s:
         w2 += c.mod2_bit()
-    return CharClassVector(base=bundle.base, w1=w1, w2=w2 % 2, c1=c1s)
+    return CharClassVector(base=base, w1=w1, w2=w2 % 2, c1=c1s)
 
 
 # ======================================================================

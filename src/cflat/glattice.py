@@ -13,12 +13,17 @@ k.  The module computes H^1 of that action three independent ways:
 
 It also produces the coinvariant lattice and a sufficient-condition
 certificate for vanishing of H^1.
+
+Every route works from the same g0 - 1 and the same fixed dimensions
+mod each prime: a lattice builds its difference matrix once and runs one
+``rank_mod`` per prime, however many routes ask.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, InternalCheckError
 from .zlinalg import (
@@ -42,6 +47,18 @@ class GLattice:
     rank: int
     g0: IntMatrix
     order: int
+    _fixed_dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def difference(self) -> IntMatrix:
+        """g0 - 1, built once per lattice."""
+        return self.g0 - IntMatrix.identity(self.rank)
+
+    def fixed_dim(self, p: int) -> int:
+        """Dimension of the fixed space of g0 over F_p, computed once per prime."""
+        if p not in self._fixed_dims:
+            self._fixed_dims[p] = self.rank - rank_mod(self.difference, p)
+        return self._fixed_dims[p]
 
 
 def make_glattice(g0: IntMatrix) -> GLattice:
@@ -71,10 +88,6 @@ def _norm_matrix(lat: GLattice) -> IntMatrix:
     return total
 
 
-def _difference(lat: GLattice) -> IntMatrix:
-    return lat.g0 - IntMatrix.identity(lat.rank)
-
-
 def h1_oracle(lat: GLattice) -> AbelianGroup:
     """H^1 of the action by direct elimination: ker(norm)/im(g0 - 1).
 
@@ -86,9 +99,8 @@ def h1_oracle(lat: GLattice) -> AbelianGroup:
     """
     norm = _norm_matrix(lat)
     kb = kernel_basis(norm)  # rank x r, primitive
-    diff = _difference(lat)
     try:
-        coords = solve_columns(kb, diff)  # r x rank
+        coords = solve_columns(kb, lat.difference)  # r x rank
     except DomainError as exc:
         raise InternalCheckError(
             f"image of (g0 - 1) escaped the norm kernel: {exc}"
@@ -111,9 +123,8 @@ def h1_card_formula(lat: GLattice, q: int) -> int:
     _require_coprime_prime(q, k)
     if k == 1:
         return 1
-    diff = _difference(lat)
-    fixed = fixed_card_mod(diff, k)
-    fixdim_q = lat.rank - rank_mod(diff, q)
+    fixed = fixed_card_mod(lat.difference, k)
+    fixdim_q = lat.fixed_dim(q)
     denom = k**fixdim_q
     if fixed % denom:
         raise InternalCheckError(
@@ -128,9 +139,8 @@ def h1_card_prime_formula(lat: GLattice, q: int) -> int:
     if not _is_prime(k):
         raise DomainError(f"prime-order formula needs prime order, got {k}")
     _require_coprime_prime(q, k)
-    diff = _difference(lat)
-    fixdim_k = lat.rank - rank_mod(diff, k)
-    fixdim_q = lat.rank - rank_mod(diff, q)
+    fixdim_k = lat.fixed_dim(k)
+    fixdim_q = lat.fixed_dim(q)
     if fixdim_k < fixdim_q:
         raise InternalCheckError(
             f"fixed dimension dropped below the coprime reference: {fixdim_k} < {fixdim_q}"
@@ -156,11 +166,9 @@ def h1_triviality_certificate(lat: GLattice, q: int) -> TrivialityCertificate:
     _require_coprime_prime(q, k)
     if k == 1:
         return TrivialityCertificate.PROVEN_TRIVIAL
-    diff = _difference(lat)
-    fixdim_q = lat.rank - rank_mod(diff, q)
+    fixdim_q = lat.fixed_dim(q)
     for p in _prime_divisors(k):
-        fixdim_p = lat.rank - rank_mod(diff, p)
-        if fixdim_p != fixdim_q:
+        if lat.fixed_dim(p) != fixdim_q:
             return TrivialityCertificate.INCONCLUSIVE
     return TrivialityCertificate.PROVEN_TRIVIAL
 
@@ -172,7 +180,7 @@ def coinvariants(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     action; ``tests`` and the mapping-torus homology route both lean on
     that identification.
     """
-    full = cokernel(_difference(lat))
+    full = cokernel(lat.difference)
     return full, full.torsion_subgroup()
 
 

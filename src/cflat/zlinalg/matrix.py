@@ -31,30 +31,30 @@ class IntMatrix:
 
     def __init__(self, entries: Iterable[Sequence[int]]):
         data = tuple(tuple(row) for row in entries)
-        if data:
-            width = len(data[0])
-            for row in data:
-                if len(row) != width:
-                    raise DomainError("ragged rows in matrix input")
-                for e in row:
-                    if not isinstance(e, int) or isinstance(e, bool):
-                        raise DomainError(f"non-integer matrix entry {e!r}")
-        self._fill(data)
+        width = len(data[0]) if data else 0
+        for row in data:
+            if len(row) != width:
+                raise DomainError("ragged rows in matrix input")
+            for e in row:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise DomainError(f"non-integer matrix entry {e!r}")
+        self._fill(data, width)
 
     @classmethod
-    def _of(cls, rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        """Wrap rectangular rows of ints without checking them.
+    def _of(cls, rows: Iterable[Sequence[int]], cols: int) -> "IntMatrix":
+        """Wrap rectangular rows of ints, ``cols`` wide, without checking
+        them.  ``cols`` keeps the width of a matrix with no rows.
 
         Only for rows computed from entries that were already checked.
         """
         self = object.__new__(cls)
-        self._fill(tuple(map(tuple, rows)))
+        self._fill(tuple(map(tuple, rows)), cols)
         return self
 
-    def _fill(self, data: tuple[tuple[int, ...], ...]) -> None:
+    def _fill(self, data: tuple[tuple[int, ...], ...], cols: int) -> None:
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", len(data[0]) if data else 0)
+        object.__setattr__(self, "cols", cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -63,11 +63,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of([[0] * cols for _ in range(rows)])
+        return cls._of([[0] * cols for _ in range(rows)], cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
@@ -84,6 +84,8 @@ class IntMatrix:
         for col in columns:
             if len(col) != height:
                 raise DomainError(f"column of length {len(col)} in a matrix with {height} rows")
+        if not height:
+            return cls._of((), len(columns))
         return cls([[col[i] for col in columns] for i in range(height)])
 
     # -- access ------------------------------------------------------
@@ -127,7 +129,9 @@ class IntMatrix:
             raise DomainError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return IntMatrix._of(backend.matmul(self.to_lists(), other.to_lists()))
+        if not other.rows:
+            return IntMatrix.zeros(self.rows, other.cols)
+        return IntMatrix._of(backend.matmul(self.to_lists(), other.to_lists()), other.cols)
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -135,7 +139,8 @@ class IntMatrix:
             [
                 [a + b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -144,15 +149,16 @@ class IntMatrix:
             [
                 [a - b for a, b in zip(ra, rb)]
                 for ra, rb in zip(self._data, other._data)
-            ]
+            ],
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix._of([[-e for e in row] for row in self._data])
+        return IntMatrix._of([[-e for e in row] for row in self._data], self.cols)
 
     def scale(self, c: int) -> "IntMatrix":
         _check_scalar(c)
-        return IntMatrix._of([[c * e for e in row] for row in self._data])
+        return IntMatrix._of([[c * e for e in row] for row in self._data], self.cols)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -161,7 +167,9 @@ class IntMatrix:
             )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._of(zip(*self._data))
+        if not self.rows:
+            return IntMatrix.zeros(self.cols, 0)
+        return IntMatrix._of(zip(*self._data), self.rows)
 
     def apply_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -192,12 +200,12 @@ class IntMatrix:
 
     def mod(self, m: int) -> "IntMatrix":
         _check_scalar(m)
-        return IntMatrix._of([[e % m for e in row] for row in self._data])
+        return IntMatrix._of([[e % m for e in row] for row in self._data], self.cols)
 
     # -- equality / hashing / repr -----------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntMatrix) and self._data == other._data
+        return isinstance(other, IntMatrix) and self.cols == other.cols and self._data == other._data
 
     def __hash__(self) -> int:
         return hash(self._data)

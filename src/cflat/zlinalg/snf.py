@@ -82,7 +82,9 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     u = IntMatrix.identity(m.rows).to_lists()
     v = IntMatrix.identity(m.cols).to_lists()
     backend.snf_inplace(d, u, v)
-    return SNFDecomposition(matrix=m, d=IntMatrix._of(d), u=IntMatrix._of(u), v=IntMatrix._of(v))
+    return SNFDecomposition(
+        matrix=m, d=IntMatrix._of(d, m.cols), u=IntMatrix._of(u, m.rows), v=IntMatrix._of(v, m.cols)
+    )
 
 
 def cokernel(m: IntMatrix) -> AbelianGroup:

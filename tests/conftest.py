@@ -8,8 +8,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
+from cflat.classify import _line_classes
+from cflat.flatbundle import (
+    FlatBundleSpec,
+    base_data,
+    c1_of_line,
+    cup_table,
+    line_with_w1,
+    mod2_zero,
+    sw_vector,
+    w1_of_line,
+)
 from cflat.zlinalg import IntMatrix, inverse_unimodular
 
 SEED = 20260816
@@ -166,3 +177,37 @@ def orbit(start: tuple, moves) -> set:
                     nxt.append(moved)
         frontier = nxt
     return seen
+
+
+# Multiset enumeration: the oracle for the bounded realizer search in
+# cflat.classify._realized_values.  Every multiset of s line classes goes
+# through sw_vector, and the least realizer (fewest nontrivial lines,
+# then the least tuple) is kept for each Whitney pair.
+
+
+def realized_values_oracle(base: str, s: int) -> dict:
+    realized = {}
+    for multiset in combinations_with_replacement(_line_classes(base), s):
+        reps = tuple(line_with_w1(base, bits) for bits in multiset)
+        vec = sw_vector(FlatBundleSpec(base, reps))
+        value = (vec.w1, vec.w2)
+        key = (sum(1 for b in multiset if any(b)), multiset)
+        if value not in realized or key < realized[value]:
+            realized[value] = key
+    return {value: key[1] for value, key in realized.items()}
+
+
+def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
+    """(w1, w2, c1) of a line-bundle sum by the pairwise Whitney sum: w1 is
+    the sum of the real first classes, and w2 the sum of their cups over
+    all pairs plus the complex summands' Chern classes mod 2."""
+    base = bundle.base
+    firsts = [w1_of_line(base, rep) for rep in bundle.summands if rep.kind == "real"]
+    c1s = tuple(c1_of_line(base, rep) for rep in bundle.summands if rep.kind == "complex")
+    w1 = tuple(sum(col) % 2 for col in zip(*firsts)) if firsts else mod2_zero(base)
+    if base_data(base).spec.dim == 1:
+        return w1, None, c1s
+    table = cup_table(base)
+    w2 = sum(table.cup(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+    w2 += sum(c.mod2_bit() for c in c1s)
+    return w1, w2 % 2, c1s

@@ -7,7 +7,15 @@ from math import lcm
 
 import pytest
 
-from conftest import KLEIN_RHO_MOVES, SEED, TORUS_MOVES, orbit, random_angles
+from conftest import (
+    KLEIN_RHO_MOVES,
+    SEED,
+    TORUS_MOVES,
+    orbit,
+    random_angles,
+    realized_values_oracle,
+)
+from cflat import classify
 from cflat.classify import (
     affine_class_bound,
     affine_equivalent,
@@ -23,7 +31,7 @@ from cflat.classify import (
     stably_diffeomorphic,
     torus_moduli_canonical,
 )
-from cflat.errors import DomainError
+from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import FlatBundleSpec, LineRep, line_with_w1, sw_vector
 
 F = Fraction
@@ -75,6 +83,31 @@ def test_class_representatives_realize_their_data():
             vec = sw_vector(c.bundle)
             assert (vec.w1, vec.w2) == (c.w1, c.w2)
             assert c.bundle.total_dim == dim
+
+
+def test_realizer_search_matches_enumeration_oracle(monkeypatch):
+    """The bounded search finds the same Whitney pairs, each with the same
+    least realizer, as enumerating every multiset of line classes; so the
+    class tables agree in labels, w1, w2, orbits and bundles."""
+    for base, first_dim in (("S1", 2), ("T2", 4), ("K", 4)):
+        base_dim = 1 if base == "S1" else 2
+        for dim in range(first_dim, 13):
+            oracle = realized_values_oracle(base, dim - base_dim)
+            assert classify._realized_values(base, dim - base_dim) == oracle, (base, dim)
+            fast = diffeo_classes(base, dim)
+            with monkeypatch.context() as m:
+                m.setattr(classify, "_realized_values", lambda b, s: oracle)
+                assert diffeo_classes(base, dim) == fast, (base, dim)
+
+
+def test_class_realizers_are_rechecked(monkeypatch):
+    def wrong(bundle):
+        vec = sw_vector(bundle)
+        return vec.__class__(vec.base, vec.w1, None if vec.w2 is None else 1 - vec.w2, vec.c1)
+
+    monkeypatch.setattr(classify, "sw_vector", wrong)
+    with pytest.raises(InternalCheckError):
+        diffeo_classes("K", 5)
 
 
 def test_stable_range_is_stable():

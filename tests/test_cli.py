@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,19 @@ def test_classify_verb(capsys):
     )
     assert code == 0
     assert out.startswith("label\t") and len(out.rstrip("\n").split("\n")) == 4
+
+
+def test_classify_at_the_dimension_cap_is_bounded(capsys):
+    """classify's largest allowed input, total dimension 40, answers
+    within 0.5 s on every base; dimension 41 is refused with exit 1."""
+    for base in ("S1", "T2", "K"):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "classify", "--base", base, "--dim", "40")
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out)["total_dim"] == 40
+        assert elapsed < 0.5, (base, elapsed)
+        code, out, err = run_cli(capsys, "classify", "--base", base, "--dim", "41")
+        assert code == 1 and out == "" and "bound 40" in err
 
 
 def test_output_is_byte_deterministic(capsys):

@@ -4,10 +4,12 @@ Whitney vectors, and the structure results."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from conftest import SEED
+from conftest import SEED, sw_vector_pairwise
+from cflat.classify import _line_classes
 from cflat.errors import DomainError
 from cflat.flatbundle import (
     C1Class,
@@ -213,6 +215,58 @@ def test_complex_summand_contributes_to_w2():
     assert vec.w1 == (0, 0)  # complex summands are orientable
     assert vec.w2 == 1  # c1 mod 2 survives
     assert vec.c1 == (C1Class((1,), 2),)
+
+
+def _random_line(rng, base):
+    """A random real or complex character over the base; complex torsion
+    angles have orders dividing the holonomy order, so c1 is defined."""
+    if rng.random() < 0.5:
+        return line_with_w1(base, tuple(rng.randint(0, 1) for _ in base_data(base).mod2_sources))
+    data = base_data(base)
+    k = len(data.holonomy)
+    free = []
+    for _ in range(data.ab.group.free_rank):
+        q = rng.randint(1, 12)
+        free.append(F(rng.randrange(q), q))
+    torsion = []
+    for d in data.ab.group.torsion:
+        step = gcd(d, k)
+        torsion.append(F(rng.randrange(step), step))
+    return LineRep("complex", tuple(free), tuple(torsion))
+
+
+def test_sw_vector_matches_pairwise_whitney_sum():
+    """The one-pass Whitney rule agrees with the pairwise sum over all
+    pairs of real summands, on mixed real and complex sums."""
+    rng = random.Random(SEED + 41)
+    for base in ("S1", "T2", "K"):
+        for _ in range(60):
+            n = rng.randint(0, 30)
+            bundle = FlatBundleSpec(base, tuple(_random_line(rng, base) for _ in range(n)))
+            vec = sw_vector(bundle)
+            assert (vec.w1, vec.w2, vec.c1) == sw_vector_pairwise(bundle)
+
+
+def test_whitney_data_of_repeated_lines():
+    """The lemma behind the bounded realizer search in classify: mod 2 and
+    below degree three, (1 + L)^4 = 1 and (1 + L)^2 = 1 + L^2.  So four
+    copies of a line change nothing, and two copies add L^2 to w2."""
+    rng = random.Random(SEED + 42)
+    for base in ("S1", "T2", "K"):
+        table = cup_table(base)
+        for bits in _line_classes(base):
+            line = line_with_w1(base, bits)
+            for _ in range(10):
+                summands = tuple(_random_line(rng, base) for _ in range(rng.randint(0, 8)))
+                vec = sw_vector(FlatBundleSpec(base, summands))
+                four = sw_vector(FlatBundleSpec(base, summands + (line,) * 4))
+                assert four == vec
+                two = sw_vector(FlatBundleSpec(base, summands + (line,) * 2))
+                assert (two.w1, two.c1) == (vec.w1, vec.c1)
+                if vec.w2 is None:
+                    assert two.w2 is None
+                else:
+                    assert two.w2 == (vec.w2 + table.cup(bits, bits)) % 2
 
 
 def test_det_line_tracks_orientation_character():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import SEED, random_finite_order_matrix, random_unimodular
+from cflat import glattice
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import (
     TrivialityCertificate,
@@ -18,7 +19,7 @@ from cflat.glattice import (
     h1_triviality_certificate,
     make_glattice,
 )
-from cflat.zlinalg import AbelianGroup, IntMatrix, inverse_unimodular
+from cflat.zlinalg import AbelianGroup, IntMatrix, inverse_unimodular, rank_mod
 
 ROT3 = IntMatrix([[0, -1], [1, -1]])
 ROT4 = IntMatrix([[0, -1], [1, 0]])
@@ -47,6 +48,25 @@ def test_h1_frozen_examples():
     assert h1_oracle(make_glattice(SWAP)).is_trivial
     assert h1_oracle(make_glattice(NEG1)) == AbelianGroup(0, (2,))
     assert h1_oracle(make_glattice(IntMatrix.identity(2))).is_trivial
+
+
+def test_report_runs_one_rank_per_modulus(monkeypatch):
+    """h1_report shares g0 - 1 and one rank mod p per prime across the
+    counting formula, the prime-order formula and the certificate."""
+    moduli = []
+
+    def counting_rank_mod(m, p):
+        moduli.append(p)
+        return rank_mod(m, p)
+
+    monkeypatch.setattr(glattice, "rank_mod", counting_rank_mod)
+    for g0, expected in ((ROT3, [2, 3]), (ROT4, [2, 3]), (ROT6, [2, 3, 5]), (NEG1, [2, 3])):
+        moduli.clear()
+        h1_report(make_glattice(g0))
+        assert sorted(moduli) == expected, g0
+    moduli.clear()
+    h1_report(make_glattice(IntMatrix.identity(2)))
+    assert moduli == []
 
 
 def test_counting_formula_examples():

@@ -75,6 +75,27 @@ def test_matrix_arithmetic():
     assert a.apply_vector((1, 0)) == (1, 3)
 
 
+def test_matrix_shapes_with_a_zero_dimension():
+    z = IntMatrix.zeros(0, 3)
+    assert (z.rows, z.cols) == (0, 3)
+    assert z != IntMatrix.zeros(0, 0)
+    t = IntMatrix.zeros(2, 0).transpose()
+    assert (t.rows, t.cols) == (0, 2)
+    assert z.transpose() == IntMatrix.zeros(3, 0)
+    assert IntMatrix.zeros(2, 0) * z == IntMatrix.zeros(2, 3)
+    assert z * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
+    assert IntMatrix.identity(0) * IntMatrix.zeros(0, 4) == IntMatrix.zeros(0, 4)
+    assert (z + z).cols == 3 and (-z).cols == 3 and z.scale(2).cols == 3 and z.mod(5).cols == 3
+    empty = IntMatrix.from_columns([[], [], []])
+    assert (empty.rows, empty.cols) == (0, 3)
+    assert IntMatrix([[], []]).cols == 0
+    dec = smith_normal_form(z)
+    dec.check()
+    assert (dec.d.rows, dec.d.cols, dec.v.rows) == (0, 3, 3)
+    assert kernel_basis(z) == IntMatrix.identity(3)
+    assert cokernel(IntMatrix.zeros(2, 0)) == AbelianGroup(2, ())
+
+
 def test_known_backend():
     assert KERNEL_BACKEND == "python"
 
