@@ -14,6 +14,12 @@ plus the listed non-translation generators; relations are the
 conjugation action on the lattice and the lifts of the holonomy
 group's defining relators (cyclic, or the Klein four-group).  First
 homology is the cokernel of the resulting relation matrix.
+
+For one screw alpha = (L, t) with L of order k, the cyclic relator
+alpha^k is the translation N t, where N = sum of h over the holonomy
+group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
+1986).  It is read off the holonomy walk, not multiplied out as a
+k-fold affine word.
 """
 
 from __future__ import annotations
@@ -109,10 +115,10 @@ class BieberbachGroupSpec:
         for g in self.gens:
             if g.dim != self.dim:
                 raise DomainError(f"generator dimension {g.dim} != {self.dim}")
-            if abs(g.linear.det()) != 1:
-                raise DomainError("generator linear part is not unimodular")
             if g.is_translation():
                 g.integral_translation()  # raises if fractional
+            elif abs(g.linear.det()) != 1:
+                raise DomainError("generator linear part is not unimodular")
 
     def screw_gens(self) -> tuple[AffineMap, ...]:
         """The listed generators with nontrivial linear part."""
@@ -152,21 +158,9 @@ def holonomy_group(spec: BieberbachGroupSpec) -> tuple[IntMatrix, ...]:
     return tuple(order_found)
 
 
-def _matrix_order(m: IntMatrix, bound: int = _HOLONOMY_BOUND) -> int:
-    ident = IntMatrix.identity(m.rows)
-    power = m
-    k = 1
-    while power != ident:
-        power = power * m
-        k += 1
-        if k > bound:
-            raise DomainError(f"element order exceeds bound {bound}")
-    return k
-
-
 def is_holonomy_cyclic(spec: BieberbachGroupSpec) -> bool:
     hol = holonomy_group(spec)
-    return any(_matrix_order(m) == len(hol) for m in hol)
+    return any(m.order(_HOLONOMY_BOUND) == len(hol) for m in hol)
 
 
 # ======================================================================
@@ -260,25 +254,24 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     Returns (exponent vector over the screw generators, evaluated affine
     word).  Supports the shapes the catalog needs: no screw generators,
     one (cyclic holonomy), or two commuting involutions (Klein
-    four-group holonomy).
+    four-group holonomy).  With one screw (L, t) the other generators
+    are translations, so the holonomy is <L> and the relator is
+    (1, N t) with N the sum of the holonomy group.
     """
     screws = spec.screw_gens()
     s = len(screws)
     if s == 0:
         return []
     if s == 1:
-        alpha = screws[0]
-        k = _matrix_order(alpha.linear)
-        word = alpha
-        for _ in range(k - 1):
-            word = word * alpha
-        return [([k], word)]
+        hol = holonomy_group(spec)
+        norm = sum(hol[1:], hol[0])
+        return [([len(hol)], AffineMap(hol[0], _apply_linear(norm, screws[0].translation)))]
     if s == 2:
         a, b = screws
         la, lb = a.linear, b.linear
         if (
-            _matrix_order(la) == 2
-            and _matrix_order(lb) == 2
+            la.order(_HOLONOMY_BOUND) == 2
+            and lb.order(_HOLONOMY_BOUND) == 2
             and la * lb == lb * la
             and la != lb
             and len(holonomy_group(spec)) == 4
@@ -422,7 +415,7 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     k = len(hol)
     gen0 = None
     for m in hol:
-        if _matrix_order(m) == k:
+        if m.order(_HOLONOMY_BOUND) == k:
             gen0 = m
             break
     if gen0 is None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 from .errors import DomainError, InternalCheckError
 from .flatbundle import (
@@ -34,10 +34,13 @@ from .flatbundle import (
     sw_vector,
     total_holonomy,
 )
+from .glattice import _prime_divisors
 
 _SURFACE_BASES = ("S1", "T2", "K")
 _DENOM_BOUND = 64
 _AUT_CLOSURE_BOUND = 16
+_EPI_BOUND = 2_000_000
+_FIBER_DIM_BOUND = 1000
 
 
 # ======================================================================
@@ -557,24 +560,23 @@ def affine_class_bound(rank: int, order: int, fiber_dim: int) -> AffineClassBoun
     (number of epimorphisms Z^rank -> Z/order) times (number of
     orthogonal representation classes of Z/order in the fiber).
 
-    Epimorphisms are counted by direct enumeration of surjective
-    tuples; representation classes as multisets of real irreducibles
-    (trivial; sign when the order is even; rotation pairs).
+    Epimorphisms are counted by Jordan's totient, J_rank(order) =
+    order^rank * prod over primes p | order of (1 - p^-rank);
+    representation classes as multisets of real irreducibles (trivial;
+    sign when the order is even; rotation pairs).  Input is bounded:
+    order^rank at most 2,000,000 and the fiber dimension at most 1000.
     """
     if rank < 1 or order < 1 or fiber_dim < 1:
         raise DomainError("rank, order and fiber dimension must be positive")
-    if order**rank > 2_000_000:
-        raise DomainError("epimorphism enumeration bound exceeded")
-    epis = 0
-    total = order**rank
-    for code in range(total):
-        g = order
-        c = code
-        for _ in range(rank):
-            g = gcd(g, c % order)
-            c //= order
-        if g == 1:
-            epis += 1
+    # for order >= 2, rank >= bit_length(bound) already puts order^rank past
+    # the bound; testing it first keeps a huge rank from building a huge power
+    if order > 1 and (rank >= _EPI_BOUND.bit_length() or order**rank > _EPI_BOUND):
+        raise DomainError(f"order^rank exceeds bound {_EPI_BOUND}")
+    if fiber_dim > _FIBER_DIM_BOUND:
+        raise DomainError(f"fiber dimension {fiber_dim} exceeds bound {_FIBER_DIM_BOUND}")
+    epis = order**rank
+    for p in _prime_divisors(order):
+        epis = epis // p**rank * (p**rank - 1)
     one_dim_kinds = 2 if order % 2 == 0 else 1
     rotations = (order - 1) // 2
     reps = 0

@@ -304,16 +304,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload = args.run(args)
+        text = payload if isinstance(payload, str) else serialize.dump_json(payload)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 2
-    if isinstance(payload, str):
-        sys.stdout.write(payload)
-    else:
-        sys.stdout.write(serialize.dump_json(payload))
+    sys.stdout.write(text)
     return 0
 
 

@@ -62,20 +62,17 @@ class GLattice:
 
 
 def make_glattice(g0: IntMatrix) -> GLattice:
-    """Validate ``g0`` (square, det = +-1, finite order) and wrap it."""
+    """Validate ``g0`` (square, det = +-1, finite order) and wrap it.
+
+    The order comes from ``IntMatrix.order``: at most 10,000 successive
+    powers of g0, and a ``DomainError`` when g0^k = 1 for no k up to
+    that bound.
+    """
     if not g0.is_square:
         raise DomainError(f"automorphism matrix must be square, got {g0.rows}x{g0.cols}")
     if abs(g0.det()) != 1:
         raise DomainError("matrix is not a lattice automorphism (det != +-1)")
-    ident = IntMatrix.identity(g0.rows)
-    power = g0
-    order = 1
-    while power != ident:
-        power = power * g0
-        order += 1
-        if order > _ORDER_BOUND:
-            raise DomainError(f"automorphism order exceeds bound {_ORDER_BOUND}")
-    return GLattice(rank=g0.rows, g0=g0, order=order)
+    return GLattice(rank=g0.rows, g0=g0, order=g0.order(_ORDER_BOUND))
 
 
 def _norm_matrix(lat: GLattice) -> IntMatrix:

@@ -5,19 +5,38 @@ precision survives any JSON reader; plain JSON integers are accepted
 on input.  Rational angles travel as "p/q" strings.  All emitted JSON
 is sorted-key, two-space indented, with a trailing newline, so output
 is byte-reproducible.
+
+Python converts an int to or from decimal text only up to
+``sys.get_int_max_str_digits()`` digits.  A number past that limit, in
+an argument or in a result, is a rejected input (``DomainError``).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import DomainError
 from .flatbundle import FlatBundleSpec, LineRep
 from .zlinalg import AbelianGroup, IntMatrix
 
-_FRACTION_RE = re.compile(r"^-?\d+(/-?\d+)?$")
+_FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
+
+
+@contextmanager
+def _digit_limit(what: str):
+    """Report a number past Python's int-string limit as a DomainError."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except ValueError:
+        raise DomainError(
+            f"{what} has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def parse_fraction(value) -> Fraction:
@@ -25,7 +44,8 @@ def parse_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _FRACTION_RE.match(value.strip()):
         try:
-            return Fraction(value.strip())
+            with _digit_limit("a rational number"):
+                return Fraction(value.strip())
         except ZeroDivisionError:
             raise DomainError(f"zero denominator in {value!r}") from None
     raise DomainError(f"not a rational number: {value!r}")
@@ -51,7 +71,8 @@ def _parse_entry(value) -> int:
     if isinstance(value, str):
         s = value.strip()
         if re.match(r"^-?\d+$", s):
-            return int(s)
+            with _digit_limit("a matrix entry"):
+                return int(s)
     raise DomainError(f"not an integer matrix entry: {value!r}")
 
 
@@ -62,7 +83,8 @@ def matrix_from_json(obj) -> IntMatrix:
 
 
 def matrix_to_json(m: IntMatrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.to_lists()]
+    with _digit_limit("a result entry"):
+        return [[str(x) for x in row] for row in m.to_lists()]
 
 
 def group_to_json(g: AbelianGroup) -> dict:
@@ -114,11 +136,13 @@ def bundle_from_json(obj) -> FlatBundleSpec:
 
 
 def loads(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"invalid JSON: {exc}") from None
+    with _digit_limit("a JSON number"):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"invalid JSON: {exc}") from None
 
 
 def dump_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    with _digit_limit("a result number"):
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"

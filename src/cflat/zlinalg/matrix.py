@@ -109,13 +109,7 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_identity(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            e == (1 if i == j else 0)
-            for i, row in enumerate(self._data)
-            for j, e in enumerate(row)
-        )
+        return self == IntMatrix.identity(self.rows)
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self._data for e in row)
@@ -191,6 +185,21 @@ class IntMatrix:
             base = base * base
             k >>= 1
         return out
+
+    def order(self, bound: int) -> int:
+        """Least k >= 1 with self^k = 1, by successive products; a
+        ``DomainError`` once k would pass ``bound``."""
+        if not self.is_square:
+            raise DomainError("matrix order needs a square matrix")
+        ident = IntMatrix.identity(self.rows)
+        power = self
+        k = 1
+        while power != ident:
+            power = power * self
+            k += 1
+            if k > bound:
+                raise DomainError(f"matrix order exceeds bound {bound}")
+        return k
 
     def det(self) -> int:
         """Exact determinant (fraction-free elimination)."""

@@ -9,7 +9,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import gcd
 
+from cflat.bieberbach import BieberbachGroupSpec
 from cflat.classify import _line_classes
 from cflat.flatbundle import (
     FlatBundleSpec,
@@ -119,8 +121,6 @@ def gcd_minor_divisors(m: IntMatrix) -> list[int]:
     """Independent elementary-divisor oracle: the k-th divisor is
     gcd(k x k minors) / gcd((k-1) x (k-1) minors).  Exponential in the
     size, so only for small matrices."""
-    from math import gcd
-
     divisors = []
     prev = 1
     for k in range(1, min(m.rows, m.cols) + 1):
@@ -211,3 +211,32 @@ def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
     w2 = sum(table.cup(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
     w2 += sum(c.mod2_bit() for c in c1s)
     return w1, w2 % 2, c1s
+
+
+# Enumeration of surjective tuples: the oracle for Jordan's totient in
+# cflat.classify.affine_class_bound.  A tuple in (Z/order)^rank is onto
+# exactly when its entries and the order have gcd 1.
+
+
+def epimorphism_count_oracle(rank: int, order: int) -> int:
+    count = 0
+    for code in range(order**rank):
+        g = order
+        for _ in range(rank):
+            g = gcd(g, code % order)
+            code //= order
+        count += g == 1
+    return count
+
+
+# The k-fold affine word alpha^k: the oracle for the cyclic relator in
+# cflat.bieberbach._holonomy_relators, which reads it off as the norm of
+# the holonomy group applied to alpha's translation.
+
+
+def cyclic_relator_oracle(spec: BieberbachGroupSpec) -> tuple:
+    (alpha,) = spec.screw_gens()
+    word, k = alpha, 1
+    while not word.is_translation():
+        word, k = word * alpha, k + 1
+    return [k], word

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, random_finite_order_matrix
+from conftest import SEED, cyclic_relator_oracle, random_finite_order_matrix
 from cflat.bieberbach import (
     AffineMap,
     BieberbachGroupSpec,
     CATALOG_NAMES,
+    _holonomy_relators,
     abelianization,
     catalog,
     catalog_group,
@@ -138,6 +139,56 @@ def test_mapping_torus_of_reflection_is_klein():
     spec = mapping_torus(make_glattice(IntMatrix([[-1]])))
     assert abelianization(spec).group == KNOWN["K"][0]
     assert len(holonomy_group(spec)) == 2
+
+
+def test_cyclic_relator_is_the_holonomy_norm():
+    """With one screw alpha = (L, t) the relator alpha^k is (1, N t), N the
+    sum of the holonomy group; it equals the k-fold affine word."""
+    rng = random.Random(SEED + 33)
+    specs = [catalog_group(name) for name in ("K", "G2", "G3", "G4", "G5", "B1", "B2")]
+    specs += [
+        mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=6)))
+        for _ in range(50)
+    ]
+    for spec in specs:
+        assert _holonomy_relators(spec) == [cyclic_relator_oracle(spec)], spec.name
+
+
+def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
+    """The cyclic relator comes from the holonomy walk, not from an affine
+    word; only the Klein four-group relators compose affine maps."""
+    calls = []
+    compose = AffineMap.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineMap, "__mul__", counting_mul)
+    rng = random.Random(SEED + 34)
+    for _ in range(10):
+        abelianization(mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=4))))
+    assert calls == []
+    abelianization(catalog_group("G6"))
+    assert calls
+
+
+def test_spec_checks_determinants_of_screws_only(monkeypatch):
+    """Pure translations are only checked for integrality; the Bareiss
+    determinant runs once per non-translation generator."""
+    dets = []
+    det = IntMatrix.det
+
+    def counting_det(self):
+        dets.append(self.rows)
+        return det(self)
+
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
+    spec = mapping_torus(make_glattice(IntMatrix([[0, -1], [1, 0]])))
+    assert len(spec.gens) == 3
+    dets.clear()
+    BieberbachGroupSpec(spec.name, spec.dim, spec.gens)
+    assert dets == [3]
 
 
 def test_torsion_two_ways():

@@ -11,6 +11,7 @@ from conftest import (
     KLEIN_RHO_MOVES,
     SEED,
     TORUS_MOVES,
+    epimorphism_count_oracle,
     orbit,
     random_angles,
     realized_values_oracle,
@@ -347,7 +348,32 @@ def test_affine_class_bound_examples():
     with pytest.raises(DomainError):
         affine_class_bound(0, 2, 1)
     with pytest.raises(DomainError):
-        affine_class_bound(8, 64, 1)  # enumeration bound
+        affine_class_bound(8, 64, 1)  # input bound: order^rank > 2,000,000
+
+
+def test_epimorphism_count_matches_enumeration_oracle():
+    """Jordan's totient J_r(k) equals the number of surjective tuples in
+    (Z/k)^r for every pair with k^r <= 1000."""
+    pairs = 0
+    for rank in range(1, 11):
+        for order in range(1, 1001):
+            if order**rank > 1000:
+                break
+            got = affine_class_bound(rank, order, 1).epimorphisms
+            assert got == epimorphism_count_oracle(rank, order), (rank, order)
+            pairs += 1
+    assert pairs > 1000
+
+
+def test_affine_class_bound_input_caps():
+    """order^rank is capped at 2,000,000 and the fiber dimension at 1000;
+    a huge rank is refused without building order**rank."""
+    assert affine_class_bound(1, 2_000_000, 1000).bound > 0
+    assert affine_class_bound(20, 2, 1).epimorphisms == 2**20 - 1
+    assert affine_class_bound(10**12, 1, 1).bound == 1
+    for args in ((1, 2_000_001, 1), (21, 2, 1), (10**12, 2, 1), (1, 2, 1001)):
+        with pytest.raises(DomainError):
+            affine_class_bound(*args)
 
 
 def test_bound_dominates_enumerated_classes():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from cflat import cli, serialize
-from cflat.errors import InternalCheckError
+from cflat.errors import DomainError, InternalCheckError
 from cflat.zlinalg import IntMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -172,6 +172,49 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "classify", "--base", "RP2", "--dim", "4")
     assert code == 1
+
+
+def test_bound_at_its_caps_is_bounded(capsys):
+    """bound answers within 0.5 s at its caps (order^rank 2,000,000,
+    fiber dimension 1000) and refuses past them with exit 1."""
+    for rank, order in ((1, 2_000_000), (2, 1414), (20, 2)):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "bound", "--rank", str(rank), "--order", str(order), "--fiber-dim", "1000"
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0 and json.loads(out)["bound"] > 0
+        assert elapsed < 0.5, (rank, order, elapsed)
+    for rank, order, fiber in ((1, 2_000_001, 1), (21, 2, 1), (10**12, 2, 1), (1, 2, 1001)):
+        code, out, err = run_cli(
+            capsys, "bound", "--rank", str(rank), "--order", str(order), "--fiber-dim", str(fiber)
+        )
+        assert code == 1 and out == "" and "exceeds bound" in err
+
+
+def test_numbers_python_cannot_convert_exit_one(capsys):
+    """A signed denominator, a number past Python's int-string digit
+    limit in an argument, and a result past it are rejected inputs: one
+    error line, exit 1, nothing on stdout."""
+    digits = sys.get_int_max_str_digits()
+    huge = "1" * (digits + 1)
+    a, b = 10 ** (digits - 10) + 1, 10 ** (digits - 10)  # coprime; SNF holds a*b
+    cases = [
+        ("moduli", "--space", "S1xR3", "--angles", "1/-2"),
+        ("moduli", "--space", "S1xR3", "--angles", f"1/{huge}"),
+        ("snf", "--matrix", f"[[{huge}]]"),
+        ("snf", "--matrix", f'[["{huge}"]]'),
+        ("affine-eq", "--left", f'{{"base": "S1", "summands": [{{"free": ["{huge}"]}}]}}',
+         "--right", '{"base": "S1", "summands": []}'),
+        ("snf", "--matrix", f'[["{a}", "0"], ["0", "{b}"]]'),
+        ("bound", "--rank", "1", "--order", "2000000", "--fiber-dim", "4000"),
+    ]
+    for argv in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    with pytest.raises(DomainError):
+        serialize.dump_json({"n": 10 ** (digits + 1)})
 
 
 def test_internal_check_exits_two(monkeypatch, capsys):

@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, gcd_minor_divisors, random_matrix, random_unimodular
+from conftest import (
+    SEED,
+    gcd_minor_divisors,
+    random_finite_order_matrix,
+    random_matrix,
+    random_unimodular,
+)
 from cflat.errors import DomainError
 from cflat.zlinalg import (
     AbelianGroup,
@@ -94,6 +100,28 @@ def test_matrix_shapes_with_a_zero_dimension():
     assert (dec.d.rows, dec.d.cols, dec.v.rows) == (0, 3, 3)
     assert kernel_basis(z) == IntMatrix.identity(3)
     assert cokernel(IntMatrix.zeros(2, 0)) == AbelianGroup(2, ())
+
+
+def test_matrix_order_matches_a_naive_count():
+    """order(bound) is the least k with m^k = 1, found by binary powers
+    here; it is 1 on the identity and refuses past ``bound``."""
+    rng = random.Random(SEED + 7)
+    for _ in range(40):
+        m = random_finite_order_matrix(rng, max_rank=6, allow_identity=True)
+        naive = next(k for k in range(1, 100) if m.pow(k).is_identity())
+        assert m.order(1000) == naive, m
+    assert IntMatrix.identity(3).order(1) == 1
+    assert IntMatrix.identity(0).order(1) == 1
+    rot6 = IntMatrix([[0, -1], [1, 1]])
+    assert rot6.order(6) == 6
+    with pytest.raises(DomainError):
+        rot6.order(5)
+    with pytest.raises(DomainError):
+        IntMatrix([[1, 1], [0, 1]]).order(50)  # infinite order
+    with pytest.raises(DomainError):
+        IntMatrix([[1, 0]]).order(10)
+    assert not IntMatrix([[1, 0]]).is_identity()
+    assert not IntMatrix.zeros(2, 2).is_identity()
 
 
 def test_known_backend():
