@@ -8,9 +8,13 @@ Run from the repository root:
 
 import argparse
 import random
+import sys
 import time
+from pathlib import Path
 
-from cflat.zlinalg import backend
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from cflat.zlinalg import backend  # noqa: E402
 
 SEED = 20260816
 

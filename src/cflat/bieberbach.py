@@ -20,16 +20,23 @@ alpha^k is the translation N t, where N = sum of h over the holonomy
 group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
 1986).  It is read off the holonomy walk, not multiplied out as a
 k-fold affine word.
+
+Every finite walk here -- the holonomy closure, walked once per spec,
+and the powers of a cyclic generator -- is the bounded breadth-first
+``orbit`` of ``cflat.orbit``.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .glattice import GLattice, coinvariants
+from .orbit import orbit
 from .zlinalg import AbelianGroup, IntMatrix, smith_normal_form
 from .zlinalg.snf import SNFDecomposition, inverse_unimodular
 
@@ -124,6 +131,13 @@ class BieberbachGroupSpec:
         """The listed generators with nontrivial linear part."""
         return tuple(g for g in self.gens if not g.is_translation())
 
+    @cached_property
+    def _holonomy(self) -> tuple[IntMatrix, ...]:
+        """The holonomy walk, once per spec; read it through ``holonomy_group``."""
+        moves = [lambda m, g=g.linear: m * g for g in self.screw_gens()]
+        overflow = DomainError(f"holonomy closure exceeded bound {_HOLONOMY_BOUND}")
+        return tuple(orbit(IntMatrix.identity(self.dim), moves, _HOLONOMY_BOUND, overflow))
+
 
 # ======================================================================
 # holonomy
@@ -134,33 +148,27 @@ def holonomy_group(spec: BieberbachGroupSpec) -> tuple[IntMatrix, ...]:
     """Closure of the generators' linear parts, identity first.
 
     Breadth-first over the generating set, so the order is
-    reproducible.  Bails out past 1000 elements.
+    reproducible.  Bails out past 1000 elements.  Walked once per spec
+    and kept.
     """
-    gens = [g.linear for g in spec.gens if not g.linear.is_identity()]
-    ident = IntMatrix.identity(spec.dim)
-    seen = {ident}
-    order_found = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod not in seen:
-                    seen.add(prod)
-                    order_found.append(prod)
-                    nxt.append(prod)
-                    if len(seen) > _HOLONOMY_BOUND:
-                        raise DomainError(
-                            f"holonomy closure exceeded bound {_HOLONOMY_BOUND}"
-                        )
-        frontier = nxt
-    return tuple(order_found)
+    return spec._holonomy
+
+
+def _cyclic_powers(hol: Sequence, multiply=operator.mul) -> tuple | None:
+    """Powers g^0, ..., g^(k-1) of the first element g of the finite
+    group ``hol`` (identity first, k elements) that generates it, or
+    None when the group is not cyclic."""
+    k = len(hol)
+    overflow = InternalCheckError("a cyclic subgroup outgrew its group")
+    for g in hol:
+        powers = tuple(orbit(hol[0], [lambda m, g=g: multiply(m, g)], k, overflow))
+        if len(powers) == k:
+            return powers
+    return None
 
 
 def is_holonomy_cyclic(spec: BieberbachGroupSpec) -> bool:
-    hol = holonomy_group(spec)
-    return any(m.order(_HOLONOMY_BOUND) == len(hol) for m in hol)
+    return _cyclic_powers(holonomy_group(spec)) is not None
 
 
 # ======================================================================
@@ -413,22 +421,14 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     """
     hol = holonomy_group(spec)
     k = len(hol)
-    gen0 = None
-    for m in hol:
-        if m.order(_HOLONOMY_BOUND) == k:
-            gen0 = m
-            break
-    if gen0 is None:
+    powers = _cyclic_powers(hol)
+    if powers is None:
         raise DomainError(f"holonomy of {spec.name} is not cyclic (order {k})")
-    powers = {}
-    power = IntMatrix.identity(spec.dim)
-    for e in range(k):
-        powers[power] = e
-        power = power * gen0
+    exponent = {power: e for e, power in enumerate(powers)}
     ab = abelianization(spec)
     n = spec.dim
     screws = spec.screw_gens()
-    gen_values = [0] * n + [powers[g.linear] for g in screws]
+    gen_values = [0] * n + [exponent[g.linear] for g in screws]
     free_vals, tors_vals = ab.functional_on_basis(gen_values, k)
     if any(v % k for v in tors_vals):
         raise InternalCheckError(

@@ -13,12 +13,16 @@ copies of each nontrivial line class, and the search runs over those
 count vectors only (at most 64 of them).  Published class counts are
 cross-reported: when the oracle disagrees with a recorded count the
 disagreement is surfaced as data, never patched over.
+
+The closure of the automorphism action and the affine-equivalence orbit
+search are both the bounded breadth-first ``orbit`` of ``cflat.orbit``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
 from itertools import product
 from math import comb, lcm
 
@@ -35,10 +39,12 @@ from .flatbundle import (
     total_holonomy,
 )
 from .glattice import _prime_divisors
+from .orbit import orbit
 
 _SURFACE_BASES = ("S1", "T2", "K")
 _DENOM_BOUND = 64
 _AUT_CLOSURE_BOUND = 16
+_AFFINE_ORBIT_BOUND = 2_000_000
 _EPI_BOUND = 2_000_000
 _FIBER_DIM_BOUND = 1000
 
@@ -67,25 +73,9 @@ def _mat2_identity(n: int) -> Mod2Matrix:
 
 
 def _closure(gens: list[Mod2Matrix], n: int) -> tuple[Mod2Matrix, ...]:
-    ident = _mat2_identity(n)
-    seen = {ident}
-    frontier = [ident]
-    found = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = _mat2_mul(m, g)
-                if p not in seen:
-                    seen.add(p)
-                    found.append(p)
-                    nxt.append(p)
-                    if len(seen) > _AUT_CLOSURE_BOUND:
-                        raise InternalCheckError(
-                            "automorphism closure exceeded the expected bound"
-                        )
-        frontier = nxt
-    return tuple(found)
+    moves = [lambda m, g=g: _mat2_mul(m, g) for g in gens]
+    overflow = InternalCheckError("automorphism closure exceeded the expected bound")
+    return tuple(orbit(_mat2_identity(n), moves, _AUT_CLOSURE_BOUND, overflow))
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,9 @@ class AutAction:
         return tuple(sorted({_mat2_apply(m, bits) for m in self.closure}))
 
 
+@lru_cache(maxsize=None)
 def aut_action(base: str) -> AutAction:
-    """The induced action for the line-rep bases.
+    """The induced action for the line-rep bases, built once per base.
 
     Circle: trivial.  Torus: the full general linear action mod 2.
     Flat Klein bottle: generated by the map fixing beta and sending
@@ -412,7 +403,8 @@ def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
     base group pulls one list of characters onto the other up to
     reordering and per-summand complex conjugation.  The automorphism
     action on characters is walked as an orbit search on canonical
-    multisets; everything is exact rational arithmetic.
+    multisets, which stops as soon as it meets the second bundle;
+    everything is exact rational arithmetic.
     """
     if b1.base != b2.base:
         raise DomainError("affine comparison needs a common base")
@@ -435,24 +427,11 @@ def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
         transforms = _klein_transforms()
     else:
         transforms = _circle_transforms()
-    start = _canonical_multiset(b1)
+    moves = [partial(_pullback_state, b1.base, transform=tr) for tr in transforms]
+    overflow = InternalCheckError("orbit search outgrew its theoretical bound")
     target = _canonical_multiset(b2)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            if state == target:
-                return True
-            for tr in transforms:
-                moved = _pullback_state(b1.base, state, tr)
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        if len(seen) > 2_000_000:
-            raise InternalCheckError("orbit search outgrew its theoretical bound")
-        frontier = nxt
-    return target in seen
+    walk = orbit(_canonical_multiset(b1), moves, _AFFINE_ORBIT_BOUND, overflow)
+    return any(state == target for state in walk)
 
 
 # ======================================================================

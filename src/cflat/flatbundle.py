@@ -24,14 +24,18 @@ from .bieberbach import (
     AbelianizationData,
     BieberbachGroupSpec,
     H1Element,
+    _cyclic_powers,
     abelianization,
     catalog_group,
     holonomy_group,
 )
 from .errors import DomainError, InternalCheckError
+from .orbit import orbit
 from .zlinalg import IntMatrix
 
 Mod2Class = tuple[int, ...]
+
+_TOTAL_HOLONOMY_BOUND = 4096
 
 
 # ======================================================================
@@ -170,7 +174,7 @@ class FlatBundleSpec:
     summands: tuple[LineRep, ...]
 
     def __post_init__(self):
-        for rep in self.summands:
+        for rep in dict.fromkeys(self.summands):
             validate_line(self.base, rep)
 
     @property
@@ -226,9 +230,13 @@ def w1_of_line(base: str, rep: LineRep) -> Mod2Class:
     if rep.kind != "real":
         raise DomainError("w1_of_line takes a real character")
     validate_line(base, rep)
-    data = base_data(base)
+    return _w1_bits(base, rep)
+
+
+def _w1_bits(base: str, rep: LineRep) -> Mod2Class:
+    """w1 of a real character already validated against the base."""
     bits = []
-    for where, idx in data.mod2_sources:
+    for where, idx in base_data(base).mod2_sources:
         v = rep.free[idx] if where == "free" else rep.torsion[idx]
         bits.append(1 if v == Fraction(1, 2) else 0)
     return tuple(bits)
@@ -423,7 +431,7 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
     w2 = 0
     for rep in bundle.summands:
         if rep.kind == "real":
-            bits = w1_of_line(base, rep)
+            bits = _w1_bits(base, rep)
             w2 += table.cup(w1, bits)
             w1 = mod2_add(w1, bits)
     c1s = tuple(c1_of_line(base, rep) for rep in bundle.summands if rep.kind == "complex")
@@ -444,43 +452,23 @@ def total_holonomy(bundle: FlatBundleSpec) -> tuple[tuple[IntMatrix, tuple[Fract
     generators -- the holonomy image of the total space."""
     data = base_data(bundle.base)
     spec = data.spec
-    gens = []
+    moves = []
     for idx, g in enumerate(spec.gens):
         el = data.ab.gen_image(idx)
-        angles = tuple(_evaluate(rep, el) for rep in bundle.summands)
-        gens.append((g.linear, angles))
+        step = (g.linear, tuple(_evaluate(rep, el) for rep in bundle.summands))
+        moves.append(lambda elt, step=step: _compose(elt, step))
     ident = (IntMatrix.identity(spec.dim), tuple(Fraction(0) for _ in bundle.summands))
-    seen = {ident}
-    frontier = [ident]
-    order_found = [ident]
-    while frontier:
-        nxt = []
-        for m, a in frontier:
-            for gm, ga in gens:
-                prod = (m * gm, tuple((x + y) % 1 for x, y in zip(a, ga)))
-                if prod not in seen:
-                    seen.add(prod)
-                    order_found.append(prod)
-                    nxt.append(prod)
-                    if len(seen) > 4096:
-                        raise DomainError("total holonomy closure exceeded bound 4096")
-        frontier = nxt
-    return tuple(order_found)
+    overflow = DomainError(f"total holonomy closure exceeded bound {_TOTAL_HOLONOMY_BOUND}")
+    return tuple(orbit(ident, moves, _TOTAL_HOLONOMY_BOUND, overflow))
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Product of two (linear part, angles) holonomy elements."""
+    return (a[0] * b[0], tuple((x + y) % 1 for x, y in zip(a[1], b[1])))
 
 
 def _total_holonomy_cyclic(bundle: FlatBundleSpec) -> bool:
-    group = total_holonomy(bundle)
-    n = len(group)
-    ident = group[0]
-    for elt in group:
-        k = 1
-        cur = elt
-        while cur != ident:
-            cur = (cur[0] * elt[0], tuple((x + y) % 1 for x, y in zip(cur[1], elt[1])))
-            k += 1
-        if k == n:
-            return True
-    return False
+    return _cyclic_powers(total_holonomy(bundle), _compose) is not None
 
 
 def _require_cyclic(bundle: FlatBundleSpec, what: str) -> None:

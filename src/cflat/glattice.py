@@ -38,6 +38,7 @@ from .zlinalg import (
 from .zlinalg.snf import _is_prime, solve_columns
 
 _ORDER_BOUND = 10_000
+_PRIME_BOUND = 2**31 - 1  # trial division up to its square root takes milliseconds
 
 
 @dataclass(frozen=True)
@@ -231,6 +232,8 @@ def h1_report(lat: GLattice, q: int | None = None) -> H1Report:
 
 
 def _require_coprime_prime(q: int, k: int) -> None:
+    if q > _PRIME_BOUND:
+        raise DomainError(f"auxiliary modulus {q} exceeds bound {_PRIME_BOUND}")
     if not _is_prime(q):
         raise DomainError(f"auxiliary modulus must be prime, got {q}")
     if k % q == 0:

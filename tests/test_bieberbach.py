@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, cyclic_relator_oracle, random_finite_order_matrix
+from conftest import SEED, cyclic_relator_oracle, orbit, random_finite_order_matrix
+from cflat import bieberbach
 from cflat.bieberbach import (
     AffineMap,
     BieberbachGroupSpec,
     CATALOG_NAMES,
+    CyclicSplitting,
+    H1Element,
     _holonomy_relators,
     abelianization,
     catalog,
@@ -22,7 +25,7 @@ from cflat.bieberbach import (
     tors_h1_two_ways,
     translation_map,
 )
-from cflat.errors import DomainError
+from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import coinvariants, h1_oracle, make_glattice
 from cflat.zlinalg import AbelianGroup, IntMatrix, cokernel
 
@@ -252,3 +255,50 @@ def test_cyclic_splitting_of_mapping_tori():
         assert split.holonomy_order == lat.order
         # complement carries the full torsion: H^1 of the fiber action
         assert split.b_group.torsion == h1_oracle(lat).torsion
+
+
+def test_holonomy_is_the_breadth_first_closure():
+    """The holonomy starts with the identity, repeats nothing, and as a
+    set is the closure the oracle walk finds, for every catalog group
+    and for mapping tori."""
+    rng = random.Random(SEED + 33)
+    specs = [catalog_group(name) for name in CATALOG_NAMES]
+    specs += [mapping_torus(make_glattice(random_finite_order_matrix(rng))) for _ in range(30)]
+    for spec in specs:
+        hol = holonomy_group(spec)
+        ident = IntMatrix.identity(spec.dim)
+        moves = [lambda m, g=g.linear: m * g for g in spec.gens]
+        assert hol[0] == ident, spec.name
+        assert len(set(hol)) == len(hol), spec.name
+        assert set(hol) == orbit(ident, moves), spec.name
+
+
+# cyclic_splitting as the power loops gave it before the walks shared one
+# routine: the generator is the first element of the holonomy that
+# generates it, and that choice fixes a_character_value
+RECORDED_SPLITTINGS = {
+    "K": CyclicSplitting(H1Element((1,), (0,)), 1, (), AbelianGroup(0, (2,)), 2),
+    "G2": CyclicSplitting(H1Element((1,), (0, 0)), 1, (), AbelianGroup(0, (2, 2)), 2),
+    "G3": CyclicSplitting(H1Element((1,), (0,)), 1, (), AbelianGroup(0, (3,)), 3),
+    "G4": CyclicSplitting(H1Element((1,), (0,)), 1, (), AbelianGroup(0, (2,)), 4),
+    "G5": CyclicSplitting(H1Element((1,), ()), 1, (), AbelianGroup(0, ()), 6),
+    "B1": CyclicSplitting(
+        H1Element((0, 1), (0,)), 1, (H1Element((1, 0), (0,)),), AbelianGroup(1, (2,)), 2
+    ),
+    "B2": CyclicSplitting(
+        H1Element((0, 1), ()), 1, (H1Element((1, 0), ()),), AbelianGroup(1, ()), 2
+    ),
+}
+
+
+def test_cyclic_splitting_matches_recorded_values():
+    for name, expected in RECORDED_SPLITTINGS.items():
+        assert cyclic_splitting(catalog_group(name)) == expected, name
+
+
+def test_holonomy_walk_past_its_bound_raises(monkeypatch):
+    monkeypatch.setattr(bieberbach, "_HOLONOMY_BOUND", 3)
+    g4 = catalog_group("G4")  # holonomy of order 4
+    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.gens)  # nothing walked yet
+    with pytest.raises(DomainError, match="^holonomy closure exceeded bound 3$"):
+        holonomy_group(fresh)

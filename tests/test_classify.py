@@ -3,6 +3,7 @@ and the counting bound, checked against hand-verifiable cases."""
 
 import random
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import pytest
@@ -49,6 +50,13 @@ def test_aut_action_orders():
     assert len(aut_action("K").closure) == 2
     with pytest.raises(DomainError):
         aut_action("G1")
+    assert aut_action("T2") is aut_action("T2")  # built once per base
+
+
+def test_automorphism_closure_past_its_bound_raises(monkeypatch):
+    monkeypatch.setattr(classify, "_AUT_CLOSURE_BOUND", 5)
+    with pytest.raises(InternalCheckError, match="^automorphism closure exceeded the expected bound$"):
+        aut_action.__wrapped__("T2")  # the uncached build: GL(2, Z/2) has 6 elements
 
 
 def test_aut_orbits_on_lines():
@@ -305,6 +313,56 @@ def test_affine_equivalence_relation_properties():
             assert same == affine_equivalent(y, x)
             if same:
                 assert holonomy_image_order(x) == holonomy_image_order(y)
+
+
+def _bundle_of_state(base: str, state: tuple) -> FlatBundleSpec:
+    """The bundle whose canonical multiset is ``state``."""
+    if base == "T2":
+        return FlatBundleSpec(base, tuple(LineRep(kind, vals) for kind, vals in state))
+    return FlatBundleSpec(base, tuple(LineRep(kind, vals[:1], vals[1:]) for kind, vals in state))
+
+
+def _random_summand(rng: random.Random, base: str, max_denom: int) -> LineRep:
+    """A torus character has two free angles; a Klein bottle one has one
+    free angle and one of order 2 on the torsion generator."""
+    kind = rng.choice(("real", "complex"))
+    free_rank = 2 if base == "T2" else 1
+    if kind == "real":
+        free = tuple(rng.choice((F(0), F(1, 2))) for _ in range(free_rank))
+    else:
+        free = random_angles(rng, free_rank, max_denom)
+    torsion = () if base == "T2" else (rng.choice((F(0), F(1, 2))),)
+    return LineRep(kind, free, torsion)
+
+
+def test_affine_equivalent_matches_orbit_oracle():
+    """affine_equivalent is membership in the full orbit the oracle walk
+    finds over the library's own moves, on seeded torus and Klein bottle
+    sums of at most two summands with denominators at most 8; half the
+    right-hand bundles are moved copies of the left-hand one."""
+    rng = random.Random(SEED + 55)
+    for base, transforms in (("T2", classify._torus_transforms()), ("K", classify._klein_transforms())):
+        moves = [partial(classify._pullback_state, base, transform=tr) for tr in transforms]
+        for _ in range(40):
+            r = rng.randint(1, 2)
+            left = FlatBundleSpec(base, tuple(_random_summand(rng, base, 8) for _ in range(r)))
+            if rng.random() < 0.5:
+                state = classify._canonical_multiset(left)
+                for _ in range(rng.randint(0, 6)):
+                    state = rng.choice(moves)(state)
+                right = _bundle_of_state(base, state)
+            else:
+                right = FlatBundleSpec(base, tuple(_random_summand(rng, base, 8) for _ in range(r)))
+            full = orbit(classify._canonical_multiset(left), moves)
+            assert affine_equivalent(left, right) == (classify._canonical_multiset(right) in full)
+
+
+def test_affine_orbit_search_past_its_bound_raises(monkeypatch):
+    monkeypatch.setattr(classify, "_AFFINE_ORBIT_BOUND", 5)
+    left = FlatBundleSpec("T2", (complex_line(2, "1/8"),))
+    right = FlatBundleSpec("T2", (complex_line(2, "1/4"),))
+    with pytest.raises(InternalCheckError, match="^orbit search outgrew its theoretical bound$"):
+        affine_equivalent(left, right)
 
 
 def test_affine_equivalent_input_checks():

@@ -1,6 +1,7 @@
 """The command-line interface: round-trips, determinism, exit codes,
 and every command shown in the README."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cflat import cli, serialize
+from cflat import bieberbach, cli, serialize
 from cflat.errors import DomainError, InternalCheckError
 from cflat.zlinalg import IntMatrix
 
@@ -190,6 +191,51 @@ def test_bound_at_its_caps_is_bounded(capsys):
             capsys, "bound", "--rank", str(rank), "--order", str(order), "--fiber-dim", str(fiber)
         )
         assert code == 1 and out == "" and "exceeds bound" in err
+
+
+def test_h1_prime_at_its_cap_is_bounded(capsys):
+    """h1 answers within 0.5 s with the auxiliary prime at its cap
+    (2^31 - 1, itself prime) and refuses a larger one with exit 1."""
+    rot4 = "[[0,-1],[1,0]]"
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "h1", "--g0", rot4, "--prime", str(2**31 - 1))
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["q_used"] == 2**31 - 1
+    assert elapsed < 0.5, elapsed
+    for prime in (2**31, 1_000_000_000_000_000_003):
+        code, out, err = run_cli(capsys, "h1", "--g0", rot4, "--prime", str(prime))
+        assert code == 1 and out == "" and "exceeds bound" in err
+
+
+def test_homology_walks_the_holonomy_once(monkeypatch, capsys):
+    """homology reads one holonomy walk for the H_1 relator, the order
+    and the cyclicity check; counted as the holonomy_group calls that
+    multiply matrices, on specs no earlier call has walked."""
+    fresh = {name: dataclasses.replace(spec) for name, spec in bieberbach.catalog().items()}
+    monkeypatch.setattr(bieberbach, "_CATALOG", fresh)
+    products = [0]
+    mul = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    holonomy_group = bieberbach.holonomy_group
+    walks = []
+
+    def counting_holonomy_group(spec):
+        before = products[0]
+        hol = holonomy_group(spec)
+        if products[0] > before:
+            walks.append(len(hol))
+        return hol
+
+    for module in (bieberbach, cli):
+        monkeypatch.setattr(module, "holonomy_group", counting_holonomy_group)
+    code, out, _ = run_cli(capsys, "homology", "--group", "G5")
+    assert code == 0 and json.loads(out)["holonomy_order"] == 6
+    assert walks == [6]
 
 
 def test_numbers_python_cannot_convert_exit_one(capsys):

@@ -9,6 +9,7 @@ from math import gcd
 import pytest
 
 from conftest import SEED, sw_vector_pairwise
+from cflat import flatbundle
 from cflat.classify import _line_classes
 from cflat.errors import DomainError
 from cflat.flatbundle import (
@@ -341,3 +342,31 @@ def test_total_holonomy_orders():
             order = len(total_holonomy(FlatBundleSpec(base, summands)))
             assert order % base_order == 0
             assert order in (1, 2, 4) or base == "G3"
+
+
+def test_total_holonomy_walk_past_its_bound_raises(monkeypatch):
+    monkeypatch.setattr(flatbundle, "_TOTAL_HOLONOMY_BOUND", 3)
+    b = FlatBundleSpec("T2", (real_line(("1/2", 0)), real_line((0, "1/2"))))  # order 4
+    with pytest.raises(DomainError, match="^total holonomy closure exceeded bound 3$"):
+        total_holonomy(b)
+
+
+def test_each_distinct_summand_is_validated_once(monkeypatch):
+    """A bundle validates each distinct summand once, and sw_vector reads
+    the first classes of its validated real summands without checking
+    them again."""
+    checked = []
+
+    def counting_validate_line(base, rep):
+        checked.append(rep)
+        return validate_line(base, rep)
+
+    monkeypatch.setattr(flatbundle, "validate_line", counting_validate_line)
+    lam2, theta = line_with_w1("K", (0, 1)), line_with_w1("K", (0, 0))
+    bundle = FlatBundleSpec("K", (lam2, theta, lam2, theta, lam2))
+    assert checked == [lam2, theta]
+    checked.clear()
+    assert sw_vector(bundle).w1 == (0, 1)
+    assert checked == []
+    with pytest.raises(DomainError, match="K has 1 free generators, got 2 angles"):
+        FlatBundleSpec("K", (theta, real_line((0, 0), (0,)), theta))
