@@ -202,10 +202,14 @@ class AbelianizationData:
     group: AbelianGroup
     relation_matrix: IntMatrix
     dec: SNFDecomposition
-    u_inv: IntMatrix
     free_positions: tuple[int, ...]
     torsion_positions: tuple[int, ...]
     gen_words: tuple[tuple[int, ...], ...]  # listed generator -> presentation vector
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        """The inverse of the Smith witness ``dec.u``, built on first use."""
+        return inverse_unimodular(self.dec.u)
 
     @property
     def n_presentation_gens(self) -> int:
@@ -339,7 +343,6 @@ def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
         group=group,
         relation_matrix=rel,
         dec=dec,
-        u_inv=inverse_unimodular(dec.u),
         free_positions=free_pos,
         torsion_positions=tors_pos,
         gen_words=tuple(gen_words),

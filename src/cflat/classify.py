@@ -14,8 +14,11 @@ count vectors only (at most 64 of them).  Published class counts are
 cross-reported: when the oracle disagrees with a recorded count the
 disagreement is surfaced as data, never patched over.
 
-The closure of the automorphism action and the affine-equivalence orbit
-search are both the bounded breadth-first ``orbit`` of ``cflat.orbit``.
+One table, ``_ACTIONS``, lists generators of each base's automorphism
+action on characters.  The affine-equivalence search walks it on
+characters, and ``aut_action`` reduces it mod 2 for the action on
+degree-one mod-2 classes.  Both walks are the bounded breadth-first
+``orbit`` of ``cflat.orbit``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product
 from math import comb, lcm
+from operator import mul
 
 from .errors import DomainError, InternalCheckError
 from .flatbundle import (
@@ -50,8 +54,20 @@ _FIBER_DIM_BOUND = 1000
 
 
 # ======================================================================
-# automorphism action on mod-2 cohomology
+# automorphisms of the base, on characters and on mod-2 cohomology
 # ======================================================================
+
+# Generators of the base's automorphism action on characters: integer
+# matrices acting on a character's row of angles (free angles, then
+# torsion angles) by v -> v m mod 1.  The torus takes a shear, a
+# rotation and a reflection, which generate GL2(Z); an orbit under a
+# finite action needs no inverses.  The Klein bottle takes f -> -f and
+# f -> f + t on (free f, torsion t); the circle takes f -> -f.
+_ACTIONS = {
+    "T2": (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, 1))),
+    "K": (((-1, 0), (0, 1)), ((1, 0), (1, 1))),
+    "S1": (((-1,),),),
+}
 
 Mod2Matrix = tuple[tuple[int, ...], ...]
 
@@ -61,21 +77,14 @@ def _mat2_apply(m: Mod2Matrix, bits: Mod2Class) -> Mod2Class:
 
 
 def _mat2_mul(a: Mod2Matrix, b: Mod2Matrix) -> Mod2Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(n)) % 2 for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat2_identity(n: int) -> Mod2Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple(tuple(sum(map(mul, row, col)) % 2 for col in zip(*b)) for row in a)
 
 
 def _closure(gens: list[Mod2Matrix], n: int) -> tuple[Mod2Matrix, ...]:
     moves = [lambda m, g=g: _mat2_mul(m, g) for g in gens]
     overflow = InternalCheckError("automorphism closure exceeded the expected bound")
-    return tuple(orbit(_mat2_identity(n), moves, _AUT_CLOSURE_BOUND, overflow))
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return tuple(orbit(identity, moves, _AUT_CLOSURE_BOUND, overflow))
 
 
 @dataclass(frozen=True)
@@ -96,24 +105,21 @@ class AutAction:
 
 @lru_cache(maxsize=None)
 def aut_action(base: str) -> AutAction:
-    """The induced action for the line-rep bases, built once per base.
+    """The induced action on degree-one mod-2 classes, built once per
+    base from the generators in ``_ACTIONS``.
 
-    Circle: trivial.  Torus: the full general linear action mod 2.
-    Flat Klein bottle: generated by the map fixing beta and sending
-    alpha to alpha + beta (the other automorphism generators act
-    trivially mod 2).
+    A mod-2 class is a real character's row of angles, doubled, read at
+    the positions ``mod2_sources`` names (so the Klein bottle's alpha,
+    the torsion bit, comes before beta, the free bit).  Each generator
+    is reduced mod 2 and read at those positions; it acts on rows, so
+    its transpose acts on the column vectors ``AutAction`` applies.
     """
-    if base == "S1":
-        gens = [((1,),)]
-        return AutAction(base, tuple(gens), _closure(gens, 1))
-    if base == "T2":
-        gens = [((1, 1), (0, 1)), ((0, 1), (1, 0))]
-        return AutAction(base, tuple(gens), _closure(gens, 2))
-    if base == "K":
-        # coordinates in the (alpha, beta) basis
-        gens = [((1, 0), (1, 1))]
-        return AutAction(base, tuple(gens), _closure(gens, 2))
-    raise DomainError(f"no automorphism action catalogued for base {base!r}")
+    if base not in _ACTIONS:
+        raise DomainError(f"no automorphism action catalogued for base {base!r}")
+    data = base_data(base)
+    pos = [i if where == "free" else data.ab.group.free_rank + i for where, i in data.mod2_sources]
+    gens = [tuple(tuple(m[j][i] % 2 for j in pos) for i in pos) for m in _ACTIONS[base]]
+    return AutAction(base, tuple(gens), _closure(gens, len(pos)))
 
 
 # ======================================================================
@@ -330,70 +336,33 @@ def codim1_classes(base: str) -> list[tuple[Mod2Class, ...]]:
 # ======================================================================
 
 
-def _rep_values(rep: LineRep) -> tuple[Fraction, ...]:
-    return rep.free + rep.torsion
+def _denominator(values) -> int:
+    """The lcm of the angles' denominators, within ``_DENOM_BOUND``."""
+    denom = 1
+    for v in values:
+        denom = lcm(denom, v.denominator)
+    if denom > _DENOM_BOUND:
+        raise DomainError(f"denominator {denom} exceeds bound {_DENOM_BOUND}")
+    return denom
 
 
-def _canonical_summand(rep: LineRep) -> tuple:
-    vals = _rep_values(rep)
-    if rep.kind == "complex":
-        conj = tuple((-v) % 1 for v in vals)
-        vals = min(vals, conj)
-    return (rep.kind, vals)
-
-
-def _canonical_multiset(bundle: FlatBundleSpec) -> tuple:
-    return tuple(sorted(_canonical_summand(rep) for rep in bundle.summands))
-
-
-def _pullback_state(base: str, state: tuple, transform) -> tuple:
-    moved = []
-    for kind, vals in state:
-        new_vals = transform(vals)
-        if kind == "complex":
-            conj = tuple((-v) % 1 for v in new_vals)
-            new_vals = min(new_vals, conj)
-        moved.append((kind, new_vals))
-    return tuple(sorted(moved))
-
-
-def _torus_transforms():
-    mats = [
-        ((1, 1), (0, 1)),
-        ((1, -1), (0, 1)),
-        ((0, -1), (1, 0)),
-        ((0, 1), (-1, 0)),
-        ((-1, 0), (0, 1)),
-    ]
-
-    def make(m):
-        def act(vals):
-            a, b = vals
-            return (
-                (a * m[0][0] + b * m[1][0]) % 1,
-                (a * m[0][1] + b * m[1][1]) % 1,
-            )
-
-        return act
-
-    return [make(m) for m in mats]
-
-
-def _klein_transforms():
+def _state(summands) -> tuple:
+    """The sorted multiset of (kind, angles) pairs, each complex summand
+    taken at the lesser of its angles and their conjugate."""
     out = []
-    for sigma in (1, -1):
-        for eps in (0, 1):
-
-            def act(vals, sigma=sigma, eps=eps):
-                f, t = vals
-                return ((sigma * f + eps * t) % 1, t % 1)
-
-            out.append(act)
-    return out
+    for kind, vals in summands:
+        if kind == "complex":
+            vals = min(vals, tuple((-v) % 1 for v in vals))
+        out.append((kind, vals))
+    return tuple(sorted(out))
 
 
-def _circle_transforms():
-    return [lambda vals: vals, lambda vals: ((-vals[0]) % 1,)]
+def _move(cols: tuple[tuple[int, ...], ...], state: tuple) -> tuple:
+    """Pull a state back along one automorphism, given by the columns of
+    its matrix: each row of angles times the matrix, mod 1."""
+    return _state(
+        (kind, tuple(sum(map(mul, vals, col)) % 1 for col in cols)) for kind, vals in state
+    )
 
 
 def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
@@ -401,36 +370,24 @@ def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
 
     Two sums are affinely equivalent when some automorphism of the
     base group pulls one list of characters onto the other up to
-    reordering and per-summand complex conjugation.  The automorphism
-    action on characters is walked as an orbit search on canonical
-    multisets, which stops as soon as it meets the second bundle;
-    everything is exact rational arithmetic.
+    reordering and per-summand complex conjugation.  The automorphisms
+    are the generators in ``_ACTIONS``, acting on each character's row
+    of angles; their orbit is walked on sorted states and the walk stops
+    as soon as it meets the second bundle.  Everything is exact rational
+    arithmetic.
     """
     if b1.base != b2.base:
         raise DomainError("affine comparison needs a common base")
     if b1.base not in _SURFACE_BASES:
         raise DomainError(f"affine comparison implemented over {_SURFACE_BASES}")
     for b in (b1, b2):
-        denom = 1
-        for rep in b.summands:
-            for v in _rep_values(rep):
-                denom = lcm(denom, v.denominator)
-        if denom > _DENOM_BOUND:
-            raise DomainError(f"denominator {denom} exceeds bound {_DENOM_BOUND}")
-    kinds1 = sorted(rep.kind for rep in b1.summands)
-    kinds2 = sorted(rep.kind for rep in b2.summands)
-    if kinds1 != kinds2:
+        _denominator([v for rep in b.summands for v in rep.free + rep.torsion])
+    if sorted(rep.kind for rep in b1.summands) != sorted(rep.kind for rep in b2.summands):
         return False
-    if b1.base == "T2":
-        transforms = _torus_transforms()
-    elif b1.base == "K":
-        transforms = _klein_transforms()
-    else:
-        transforms = _circle_transforms()
-    moves = [partial(_pullback_state, b1.base, transform=tr) for tr in transforms]
+    moves = [partial(_move, tuple(zip(*m))) for m in _ACTIONS[b1.base]]
     overflow = InternalCheckError("orbit search outgrew its theoretical bound")
-    target = _canonical_multiset(b2)
-    walk = orbit(_canonical_multiset(b1), moves, _AFFINE_ORBIT_BOUND, overflow)
+    start, target = (_state((r.kind, r.free + r.torsion) for r in b.summands) for b in (b1, b2))
+    walk = orbit(start, moves, _AFFINE_ORBIT_BOUND, overflow)
     return any(state == target for state in walk)
 
 
@@ -443,11 +400,7 @@ def _check_angles(angles: tuple[Fraction, ...], count: int) -> tuple[Fraction, .
     if len(angles) != count:
         raise DomainError(f"expected {count} angles, got {len(angles)}")
     normd = tuple(Fraction(a) % 1 for a in angles)
-    denom = 1
-    for a in normd:
-        denom = lcm(denom, a.denominator)
-    if denom > _DENOM_BOUND:
-        raise DomainError(f"denominator {denom} exceeds bound {_DENOM_BOUND}")
+    _denominator(normd)
     return normd
 
 

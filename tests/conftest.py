@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 from math import gcd
 
@@ -177,6 +178,88 @@ def orbit(start: tuple, moves) -> set:
                     nxt.append(moved)
         frontier = nxt
     return seen
+
+
+# The Fraction orbit walk: the oracle for cflat.classify.affine_equivalent
+# and its table of generators.  A state is the sorted multiset of
+# (kind, angles) pairs, each complex summand at the lesser of its angles
+# and their conjugate.  The moves are hand-written maps on a character's
+# angles (free, then torsion), inverses included: five integral linear
+# maps of the torus, f -> +-f + eps t on the Klein bottle, and f -> +-f
+# on the circle.
+
+
+def _canonical_summand(kind: str, vals: tuple) -> tuple:
+    if kind == "complex":
+        conj = tuple((-v) % 1 for v in vals)
+        vals = min(vals, conj)
+    return (kind, vals)
+
+
+def canonical_multiset(bundle: FlatBundleSpec) -> tuple:
+    return tuple(sorted(_canonical_summand(rep.kind, rep.free + rep.torsion) for rep in bundle.summands))
+
+
+def pullback_state(state: tuple, transform) -> tuple:
+    return tuple(sorted(_canonical_summand(kind, transform(vals)) for kind, vals in state))
+
+
+def _torus_transform(m):
+    def act(vals):
+        a, b = vals
+        return ((a * m[0][0] + b * m[1][0]) % 1, (a * m[0][1] + b * m[1][1]) % 1)
+
+    return act
+
+
+def _klein_transform(sigma: int, eps: int):
+    return lambda vals: ((sigma * vals[0] + eps * vals[1]) % 1, vals[1] % 1)
+
+
+_AFFINE_TRANSFORMS = {
+    "T2": [
+        _torus_transform(m)
+        for m in (
+            ((1, 1), (0, 1)),
+            ((1, -1), (0, 1)),
+            ((0, -1), (1, 0)),
+            ((0, 1), (-1, 0)),
+            ((-1, 0), (0, 1)),
+        )
+    ],
+    "K": [_klein_transform(sigma, eps) for sigma in (1, -1) for eps in (0, 1)],
+    "S1": [lambda vals: vals, lambda vals: ((-vals[0]) % 1,)],
+}
+
+AFFINE_MOVES = {
+    base: tuple(partial(pullback_state, transform=tr) for tr in transforms)
+    for base, transforms in _AFFINE_TRANSFORMS.items()
+}
+
+
+# The hand-written mod-2 generators: the oracle for cflat.classify.aut_action,
+# which derives its generators from the character action.  They act on
+# column vectors in the mod2_sources basis: the torus takes all of
+# GL(2, Z/2), the Klein bottle (alpha, beta) -> (alpha, alpha + beta).
+
+AUT_MOD2_GENERATORS = {
+    "S1": (((1,),),),
+    "T2": (((1, 1), (0, 1)), ((0, 1), (1, 0))),
+    "K": (((1, 0), (1, 1)),),
+}
+
+
+def mod2_closure(gens) -> set:
+    """Every product of the generators mod 2, the identity included."""
+    n = len(gens[0])
+
+    def times(g):
+        return lambda m: tuple(
+            tuple(sum(m[i][t] * g[t][j] for t in range(n)) % 2 for j in range(n)) for i in range(n)
+        )
+
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return orbit(identity, [times(g) for g in gens])
 
 
 # Multiset enumeration: the oracle for the bounded realizer search in

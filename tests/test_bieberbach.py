@@ -176,6 +176,27 @@ def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
     assert calls
 
 
+def test_unimodular_inverse_is_built_only_when_read(monkeypatch):
+    """The abelianization of a mapping torus inverts no Smith witness;
+    the splitting, which reads functionals on the invariant basis, does."""
+    calls = []
+    invert = bieberbach.inverse_unimodular
+
+    def counting_inverse(m):
+        calls.append(1)
+        return invert(m)
+
+    monkeypatch.setattr(bieberbach, "inverse_unimodular", counting_inverse)
+    rng = random.Random(SEED + 36)
+    specs = [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=4))) for _ in range(10)]
+    for spec in specs:
+        abelianization(spec)
+    assert calls == []
+    for spec in specs:
+        cyclic_splitting(spec)
+    assert len(calls) == len(specs)
+
+
 def test_spec_checks_determinants_of_screws_only(monkeypatch):
     """Pure translations are only checked for integrality; the Bareiss
     determinant runs once per non-translation generator."""

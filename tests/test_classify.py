@@ -3,16 +3,20 @@ and the counting bound, checked against hand-verifiable cases."""
 
 import random
 from fractions import Fraction
-from functools import partial
+from itertools import product
 from math import lcm
 
 import pytest
 
 from conftest import (
+    AFFINE_MOVES,
+    AUT_MOD2_GENERATORS,
     KLEIN_RHO_MOVES,
     SEED,
     TORUS_MOVES,
+    canonical_multiset,
     epimorphism_count_oracle,
+    mod2_closure,
     orbit,
     random_angles,
     realized_values_oracle,
@@ -51,6 +55,9 @@ def test_aut_action_orders():
     with pytest.raises(DomainError):
         aut_action("G1")
     assert aut_action("T2") is aut_action("T2")  # built once per base
+    # each closure is the group the hand-written mod-2 generators generate
+    for base, gens in AUT_MOD2_GENERATORS.items():
+        assert set(aut_action(base).closure) == mod2_closure(gens)
 
 
 def test_automorphism_closure_past_its_bound_raises(monkeypatch):
@@ -323,38 +330,60 @@ def _bundle_of_state(base: str, state: tuple) -> FlatBundleSpec:
 
 
 def _random_summand(rng: random.Random, base: str, max_denom: int) -> LineRep:
-    """A torus character has two free angles; a Klein bottle one has one
-    free angle and one of order 2 on the torsion generator."""
+    """A torus character has two free angles and a circle character one;
+    a Klein bottle character has one free angle and one of order 2 on
+    the torsion generator."""
     kind = rng.choice(("real", "complex"))
     free_rank = 2 if base == "T2" else 1
     if kind == "real":
         free = tuple(rng.choice((F(0), F(1, 2))) for _ in range(free_rank))
     else:
         free = random_angles(rng, free_rank, max_denom)
-    torsion = () if base == "T2" else (rng.choice((F(0), F(1, 2))),)
+    torsion = (rng.choice((F(0), F(1, 2))),) if base == "K" else ()
     return LineRep(kind, free, torsion)
+
+
+def _quarter_turn_bundles(base: str) -> list[FlatBundleSpec]:
+    """Every one-summand bundle whose angles have denominator dividing 4."""
+    free_rank, torsion_rank = {"T2": (2, 0), "K": (1, 1), "S1": (1, 0)}[base]
+    halves = (F(0), F(1, 2))
+    quarters = tuple(F(k, 4) for k in range(4))
+    return [
+        FlatBundleSpec(base, (LineRep(kind, free, torsion),))
+        for kind, angles in (("real", halves), ("complex", quarters))
+        for free in product(angles, repeat=free_rank)
+        for torsion in product(halves, repeat=torsion_rank)
+    ]
 
 
 def test_affine_equivalent_matches_orbit_oracle():
     """affine_equivalent is membership in the full orbit the oracle walk
-    finds over the library's own moves, on seeded torus and Klein bottle
-    sums of at most two summands with denominators at most 8; half the
-    right-hand bundles are moved copies of the left-hand one."""
+    finds over hand-written moves.  Inputs: seeded torus, Klein bottle
+    and circle sums of at most two summands with denominators at most 8,
+    half the right-hand bundles being moved copies of the left-hand one;
+    and every ordered pair of one-summand bundles with angles in
+    (1/4)Z/Z on each base."""
     rng = random.Random(SEED + 55)
-    for base, transforms in (("T2", classify._torus_transforms()), ("K", classify._klein_transforms())):
-        moves = [partial(classify._pullback_state, base, transform=tr) for tr in transforms]
+    pairs = []
+    for base in ("T2", "K", "S1"):
+        moves = AFFINE_MOVES[base]
         for _ in range(40):
             r = rng.randint(1, 2)
             left = FlatBundleSpec(base, tuple(_random_summand(rng, base, 8) for _ in range(r)))
             if rng.random() < 0.5:
-                state = classify._canonical_multiset(left)
+                state = canonical_multiset(left)
                 for _ in range(rng.randint(0, 6)):
                     state = rng.choice(moves)(state)
                 right = _bundle_of_state(base, state)
             else:
                 right = FlatBundleSpec(base, tuple(_random_summand(rng, base, 8) for _ in range(r)))
-            full = orbit(classify._canonical_multiset(left), moves)
-            assert affine_equivalent(left, right) == (classify._canonical_multiset(right) in full)
+            pairs.append((left, right))
+        small = _quarter_turn_bundles(base)
+        pairs += [(left, right) for left in small for right in small]
+    assert len(pairs) == 3 * 40 + 580
+    for left, right in pairs:
+        full = orbit(canonical_multiset(left), AFFINE_MOVES[left.base])
+        assert affine_equivalent(left, right) == (canonical_multiset(right) in full)
 
 
 def test_affine_orbit_search_past_its_bound_raises(monkeypatch):
