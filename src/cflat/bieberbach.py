@@ -18,8 +18,9 @@ homology is the cokernel of the resulting relation matrix.
 For one screw alpha = (L, t) with L of order k, the cyclic relator
 alpha^k is the translation N t, where N = sum of h over the holonomy
 group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
-1986).  It is read off the holonomy walk, not multiplied out as a
-k-fold affine word.
+1986).  Both k (``IntMatrix.order``) and N (``IntMatrix.power_sum``)
+take O(log k) matrix products; neither the holonomy walk nor a k-fold
+affine word is multiplied out.
 
 Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
@@ -32,6 +33,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -61,7 +63,9 @@ class AffineMap:
         if len(self.translation) != self.linear.rows:
             raise DomainError("translation length does not match the dimension")
         object.__setattr__(
-            self, "translation", tuple(Fraction(t) for t in self.translation)
+            self,
+            "translation",
+            tuple(t if isinstance(t, Fraction) else Fraction(t) for t in self.translation),
         )
 
     @property
@@ -95,14 +99,14 @@ class AffineMap:
 
 
 def _apply_linear(m: IntMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    return tuple(
-        sum((Fraction(m[i, j]) * vec[j] for j in range(m.cols)), Fraction(0))
-        for i in range(m.rows)
-    )
+    """m @ vec, in integers over the common denominator of ``vec``."""
+    den = lcm(*(t.denominator for t in vec))
+    scaled = [t.numerator * (den // t.denominator) for t in vec]
+    return tuple(Fraction(x, den) for x in m.apply_vector(scaled))
 
 
 def translation_map(dim: int, vec: Sequence[Fraction | int]) -> AffineMap:
-    return AffineMap(IntMatrix.identity(dim), tuple(Fraction(v) for v in vec))
+    return AffineMap(IntMatrix.identity(dim), tuple(vec))
 
 
 @dataclass(frozen=True)
@@ -148,8 +152,10 @@ def holonomy_group(spec: BieberbachGroupSpec) -> tuple[IntMatrix, ...]:
     """Closure of the generators' linear parts, identity first.
 
     Breadth-first over the generating set, so the order is
-    reproducible.  Bails out past 1000 elements.  Walked once per spec
-    and kept.
+    reproducible: for one screw with linear part L of order k it lists
+    L^0, ..., L^(k-1).  Bails out past 1000 elements.  Walked once per
+    spec and kept; the abelianization of a one-screw spec does not walk
+    it.
     """
     return spec._holonomy
 
@@ -268,16 +274,17 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     one (cyclic holonomy), or two commuting involutions (Klein
     four-group holonomy).  With one screw (L, t) the other generators
     are translations, so the holonomy is <L> and the relator is
-    (1, N t) with N the sum of the holonomy group.
+    (1, N t) with N the sum of the holonomy group, L^0 + ... + L^(k-1).
     """
     screws = spec.screw_gens()
     s = len(screws)
     if s == 0:
         return []
     if s == 1:
-        hol = holonomy_group(spec)
-        norm = sum(hol[1:], hol[0])
-        return [([len(hol)], AffineMap(hol[0], _apply_linear(norm, screws[0].translation)))]
+        (alpha,) = screws
+        k = alpha.linear.order(_HOLONOMY_BOUND)
+        norm = alpha.linear.power_sum(k)
+        return [([k], translation_map(spec.dim, _apply_linear(norm, alpha.translation)))]
     if s == 2:
         a, b = screws
         la, lb = a.linear, b.linear
@@ -479,7 +486,7 @@ def _diag(*entries: int) -> IntMatrix:
 
 
 def _screw(linear: IntMatrix, *tr) -> AffineMap:
-    return AffineMap(linear, tuple(Fraction(t) for t in tr))
+    return AffineMap(linear, tr)
 
 
 def _torus(name: str, dim: int) -> BieberbachGroupSpec:

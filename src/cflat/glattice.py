@@ -38,7 +38,7 @@ from .zlinalg import (
 from .zlinalg.snf import _is_prime, solve_columns
 
 _ORDER_BOUND = 10_000
-_PRIME_BOUND = 2**31 - 1  # trial division up to its square root takes milliseconds
+_PRIME_BOUND = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -65,25 +65,15 @@ class GLattice:
 def make_glattice(g0: IntMatrix) -> GLattice:
     """Validate ``g0`` (square, det = +-1, finite order) and wrap it.
 
-    The order comes from ``IntMatrix.order``: at most 10,000 successive
-    powers of g0, and a ``DomainError`` when g0^k = 1 for no k up to
-    that bound.
+    The order comes from ``IntMatrix.order``: the lcm of the cyclotomic
+    factors of the characteristic polynomial, confirmed by O(log k)
+    products, and a ``DomainError`` when g0^k = 1 for no k up to 10,000.
     """
     if not g0.is_square:
         raise DomainError(f"automorphism matrix must be square, got {g0.rows}x{g0.cols}")
     if abs(g0.det()) != 1:
         raise DomainError("matrix is not a lattice automorphism (det != +-1)")
     return GLattice(rank=g0.rows, g0=g0, order=g0.order(_ORDER_BOUND))
-
-
-def _norm_matrix(lat: GLattice) -> IntMatrix:
-    """Sum of g0^i for i = 0 .. order-1."""
-    total = IntMatrix.identity(lat.rank)
-    power = lat.g0
-    for _ in range(lat.order - 1):
-        total = total + power
-        power = power * lat.g0
-    return total
 
 
 def h1_oracle(lat: GLattice) -> AbelianGroup:
@@ -95,7 +85,7 @@ def h1_oracle(lat: GLattice) -> AbelianGroup:
     H^1 is the cokernel of those coordinates.  The result is always
     finite.
     """
-    norm = _norm_matrix(lat)
+    norm = lat.g0.power_sum(lat.order)  # sum of g0^i, i < k
     kb = kernel_basis(norm)  # rank x r, primitive
     try:
         coords = solve_columns(kb, lat.difference)  # r x rank

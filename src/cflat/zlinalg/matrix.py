@@ -11,10 +11,20 @@ with the unchecked ``IntMatrix._of``.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterable, Sequence
 
 from ..errors import DomainError
 from . import backend
+
+# Exponents e of Mersenne primes 2^e - 1.  The characteristic polynomial
+# of an n x n matrix is computed mod the first such prime with e >= n + 2:
+# it exceeds 2^(n+1) >= 2 * C(n, n//2), twice the largest coefficient a
+# product of cyclotomic polynomials of degree n can have.  The table stops
+# at rank 1277, where the O(n^3) reduction already takes 2e9 steps.
+_MERSENNE_EXPONENTS = (61, 127, 521, 607, 1279)
+
+_IDENTITIES: dict[int, "IntMatrix"] = {}
 
 
 class IntMatrix:
@@ -63,7 +73,13 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+        """The n x n identity; one shared instance per dimension."""
+        ident = _IDENTITIES.get(n)
+        if ident is None:
+            ident = _IDENTITIES[n] = cls._of(
+                [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
+            )
+        return ident
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -172,33 +188,61 @@ class IntMatrix:
         return tuple(sum(e * x for e, x in zip(row, vec)) for row in self._data)
 
     def pow(self, k: int) -> "IntMatrix":
-        """Nonnegative integer power of a square matrix."""
+        """Nonnegative integer power of a square matrix, by
+        floor(log2 k) + popcount(k) - 1 products for k >= 1."""
         if not self.is_square:
             raise DomainError("matrix power needs a square matrix")
         if k < 0:
             raise DomainError("negative matrix power not supported")
-        out = IntMatrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return IntMatrix.identity(self.rows)
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out
+            if bit == "1":
+                out = out * self
         return out
 
+    def power_sum(self, k: int) -> "IntMatrix":
+        """N(k) = sum of self^i for 0 <= i < k, by doubling.
+
+        With g = self, g^m = 1 + (g - 1) N(m), N(2m) = N(m) (1 + g^m)
+        and N(m + 1) = 1 + g N(m): 2 floor(log2 k) + popcount(k) - 1
+        products for k >= 1.
+        """
+        if not self.is_square:
+            raise DomainError("matrix power sum needs a square matrix")
+        if k < 0:
+            raise DomainError("negative matrix power not supported")
+        if k == 0:
+            return IntMatrix.zeros(self.rows, self.cols)
+        one = IntMatrix.identity(self.rows)
+        diff = self - one
+        total = one
+        for bit in bin(k)[3:]:
+            total = total + total * (one + diff * total)
+            if bit == "1":
+                total = one + self * total
+        return total
+
     def order(self, bound: int) -> int:
-        """Least k >= 1 with self^k = 1, by successive products; a
-        ``DomainError`` once k would pass ``bound``."""
+        """Least k >= 1 with self^k = 1; a ``DomainError`` when there is
+        no such k up to ``bound``.
+
+        A finite-order integer matrix is diagonalizable with roots of
+        unity as eigenvalues, so its characteristic polynomial is a
+        product of cyclotomic polynomials Phi_m and its order is the lcm
+        of the m (Kuzmanovich & Pavlichenkov, "Finite groups of matrices
+        whose entries are integers", Amer. Math. Monthly 109, 2002).
+        That lcm k is read off the characteristic polynomial and
+        confirmed by one binary power; self^k != 1 means self is not
+        semisimple, so of infinite order.
+        """
         if not self.is_square:
             raise DomainError("matrix order needs a square matrix")
-        ident = IntMatrix.identity(self.rows)
-        power = self
-        k = 1
-        while power != ident:
-            power = power * self
-            k += 1
-            if k > bound:
-                raise DomainError(f"matrix order exceeds bound {bound}")
+        k = _cyclotomic_order(_charpoly(self), bound)
+        if k is None or not self.pow(k).is_identity():
+            raise DomainError(f"matrix order exceeds bound {bound}")
         return k
 
     def det(self) -> int:
@@ -227,3 +271,122 @@ class IntMatrix:
 def _check_scalar(c) -> None:
     if not isinstance(c, int):
         raise DomainError(f"non-integer scalar {c!r}")
+
+
+def _charpoly(m: IntMatrix) -> list[int]:
+    """det(x - m), constant term first, by a Hessenberg reduction mod a
+    Mersenne prime p > 2^(n+1) and a lift to the symmetric range.
+
+    Exact whenever every coefficient is below p/2 in absolute value, as
+    it is for every product of cyclotomic polynomials.
+    """
+    n = m.rows
+    e = next((e for e in _MERSENNE_EXPONENTS if e >= n + 2), None)
+    if e is None:
+        top = _MERSENNE_EXPONENTS[-1] - 2
+        raise DomainError(f"characteristic polynomial is not computed past rank {top}")
+    p = (1 << e) - 1
+    h = [[x % p for x in row] for row in m.to_lists()]
+    # similarity transforms to upper Hessenberg form (Cohen, A Course in
+    # Computational Algebraic Number Theory, algorithm 2.2.9)
+    for j in range(1, n - 1):
+        piv = next((i for i in range(j, n) if h[i][j - 1]), None)
+        if piv is None:
+            continue
+        if piv != j:
+            h[piv], h[j] = h[j], h[piv]
+            for row in h:
+                row[piv], row[j] = row[j], row[piv]
+        inv = pow(h[j][j - 1], -1, p)
+        for i in range(j + 1, n):
+            u = h[i][j - 1] * inv % p
+            if u:
+                h[i] = [(a - u * b) % p for a, b in zip(h[i], h[j])]
+                for row in h:
+                    row[j] = (row[j] + u * row[i]) % p
+    # chi_j, the polynomial of the leading j x j block, by expansion
+    # along its last column
+    chis = [[1]]
+    for j in range(n):
+        cur = [0] + chis[j]
+        for i, c in enumerate(chis[j]):
+            cur[i] -= h[j][j] * c
+        t = 1
+        for i in range(j - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = t * h[i][j] % p
+            for a, d in enumerate(chis[i]):
+                cur[a] -= c * d
+        chis.append([c % p for c in cur])
+    return [c - p if c > p // 2 else c for c in chis[n]]
+
+
+def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
+    """The lcm of the m when the monic ``chi`` (constant term first) is a
+    product of cyclotomic Phi_m; None when it is not, or when the lcm
+    passes ``bound``.
+
+    Phi_m has degree phi(m) >= sqrt(m / 2), so no m past 2 deg^2 divides.
+    """
+    top = min(bound, 2 * (len(chi) - 1) ** 2)
+    totient = list(range(top + 1))
+    for q in range(2, top + 1):
+        if totient[q] == q:  # q is prime
+            for r in range(q, top + 1, q):
+                totient[r] -= totient[r] // q
+    k = 1
+    for m in range(1, top + 1):
+        if len(chi) == 1:
+            break
+        if totient[m] >= len(chi):
+            continue
+        phi_m = _cyclotomic(m)
+        quot = _divide_monic(chi, phi_m)
+        if quot is None:
+            continue
+        k = lcm(k, m)
+        if k > bound:
+            return None
+        while quot is not None:
+            chi, quot = quot, _divide_monic(quot, phi_m)
+    return k if len(chi) == 1 and k <= bound else None
+
+
+def _cyclotomic(m: int) -> list[int]:
+    """Phi_m, constant term first: Phi_(rp)(x) = Phi_r(x^p) / Phi_r(x) for
+    a prime p not dividing r, and Phi_m(x) = Phi_rad(m)(x^(m / rad(m)))."""
+    phi, rad, rest, q = [-1, 1], 1, m, 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest
+        if rest % q == 0:
+            phi = _divide_monic(_substitute(phi, q), phi)
+            rad *= q
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    return _substitute(phi, m // rad)
+
+
+def _substitute(poly: list[int], e: int) -> list[int]:
+    """poly(x^e)."""
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return out
+
+
+def _divide_monic(num: list[int], den: list[int]) -> list[int] | None:
+    """num / den for a monic ``den``, or None when it leaves a remainder."""
+    num = list(num)
+    d = len(den) - 1
+    if len(num) <= d:
+        return None
+    quot = [0] * (len(num) - d)
+    for i in range(len(num) - d - 1, -1, -1):
+        c = quot[i] = num[i + d]
+        if c:
+            for j in range(d):
+                num[i + j] -= c * den[j]
+    return None if any(num[:d]) else quot

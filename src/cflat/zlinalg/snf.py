@@ -10,7 +10,7 @@ Smith decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import Sequence
 
 from ..errors import DomainError, InternalCheckError
@@ -114,19 +114,38 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix.from_columns(columns, rows=m.cols)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# Miller-Rabin with these bases decides primality exactly below
+# _MR_EXACT_BELOW, the least strong pseudoprime to all of them (Sorenson &
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; a ``DomainError`` from 3.1e23 up,
+    where these bases no longer decide."""
+    if n < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    top = isqrt(p)
-    while f <= top:
-        if p % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= _MR_EXACT_BELOW:
+        raise DomainError(f"primality is decided only below {_MR_EXACT_BELOW}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

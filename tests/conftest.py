@@ -323,3 +323,101 @@ def cyclic_relator_oracle(spec: BieberbachGroupSpec) -> tuple:
     while not word.is_translation():
         word, k = word * alpha, k + 1
     return [k], word
+
+
+# Trial division: the oracle for the Miller-Rabin test in
+# cflat.zlinalg.snf._is_prime.
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+# Successive powers: the oracles for IntMatrix.order, which reads the order
+# off the cyclotomic factors of the characteristic polynomial, and for
+# IntMatrix.power_sum, which doubles.
+
+
+def order_oracle(m: IntMatrix, bound: int) -> int | None:
+    """Least k <= bound with m^k = 1 by successive products, else None."""
+    power = m
+    for k in range(1, bound + 1):
+        if power.is_identity():
+            return k
+        power = power * m
+    return None
+
+
+def power_sum_oracle(m: IntMatrix, k: int) -> IntMatrix:
+    total = IntMatrix.zeros(m.rows, m.cols)
+    power = IntMatrix.identity(m.rows)
+    for _ in range(k):
+        total = total + power
+        power = power * m
+    return total
+
+
+# Finite-order lattices of any order: block sums of companion matrices of
+# cyclotomic polynomials and of signed cycles, conjugated by a unimodular
+# word.  An independent copy of the benchmark's lattice generator.
+
+
+def cyclotomic_coefficients(m: int) -> list[int]:
+    """Phi_m, constant term first: x^m - 1 divided by every Phi_d, d | m, d < m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            den = cyclotomic_coefficients(d)
+            quot = [0] * (len(poly) - len(den) + 1)
+            for i in range(len(quot) - 1, -1, -1):
+                quot[i] = c = poly[i + len(den) - 1]
+                for j, dj in enumerate(den):
+                    poly[i + j] -= c * dj
+            assert not any(poly)
+            poly = quot
+    return poly
+
+
+_CYCLOTOMIC = {m: cyclotomic_coefficients(m) for m in range(1, 31)}
+
+
+def _companion(coeffs: list[int]) -> list[list[int]]:
+    k = len(coeffs) - 1
+    block = [[int(i == j + 1) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        block[i][k - 1] = -coeffs[i]
+    return block
+
+
+def _signed_cycle(k: int, sign: int) -> list[list[int]]:
+    """e_i -> e_(i+1), e_(k-1) -> sign e_0: order k, or 2k when sign = -1."""
+    block = [[int(i == j + 1) for j in range(k)] for i in range(k)]
+    block[0][k - 1] = sign
+    return block
+
+
+def random_cyclotomic_lattice(rng: random.Random, max_rank: int) -> tuple[IntMatrix, int]:
+    """A finite-order matrix of rank at most ``max_rank`` and its order."""
+    blocks, order, rank = [], 1, 0
+    while True:
+        if rng.random() < 0.5:
+            m = rng.choice([m for m, phi in _CYCLOTOMIC.items() if len(phi) - 1 <= max_rank])
+            block, block_order = _companion(_CYCLOTOMIC[m]), m
+        else:
+            k, sign = rng.randint(1, max_rank), rng.choice((1, -1))
+            block, block_order = _signed_cycle(k, sign), k if sign == 1 else 2 * k
+        if rank + len(block) > max_rank:
+            break
+        blocks.append(block)
+        order = order * block_order // gcd(order, block_order)
+        rank += len(block)
+    core = _block_diag(blocks)  # the first block always fits
+    w = random_unimodular(rng, core.rows)
+    return w * core * inverse_unimodular(w), order

@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import SEED, cyclic_relator_oracle, orbit, random_finite_order_matrix
+from conftest import (
+    SEED,
+    cyclic_relator_oracle,
+    orbit,
+    random_cyclotomic_lattice,
+    random_finite_order_matrix,
+    random_matrix,
+)
 from cflat import bieberbach
 from cflat.bieberbach import (
     AffineMap,
@@ -14,6 +21,7 @@ from cflat.bieberbach import (
     CATALOG_NAMES,
     CyclicSplitting,
     H1Element,
+    _apply_linear,
     _holonomy_relators,
     abelianization,
     catalog,
@@ -174,6 +182,53 @@ def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
     assert calls == []
     abelianization(catalog_group("G6"))
     assert calls
+
+
+def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
+    """The cyclic relator takes k from the matrix order and N from the
+    doubling norm, so abelianizing a mapping torus walks no holonomy;
+    holonomy_group still lists the k powers, identity first."""
+    walks = []
+    walk = bieberbach.orbit
+
+    def counting_orbit(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(bieberbach, "orbit", counting_orbit)
+    rng = random.Random(SEED + 37)
+    for _ in range(20):
+        g0, k = random_cyclotomic_lattice(rng, max_rank=8)
+        spec = mapping_torus(make_glattice(g0))
+        abelianization(spec)
+        assert walks == []
+        (screw,) = spec.screw_gens()
+        powers = [IntMatrix.identity(spec.dim)]
+        for _ in range(k - 1):
+            powers.append(powers[-1] * screw.linear)
+        assert holonomy_group(spec) == tuple(powers)
+        walks.clear()
+
+
+def test_one_screw_past_the_holonomy_bound_raises(monkeypatch):
+    monkeypatch.setattr(bieberbach, "_HOLONOMY_BOUND", 3)
+    g4 = catalog_group("G4")  # holonomy of order 4
+    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.gens)
+    with pytest.raises(DomainError, match="^matrix order exceeds bound 3$"):
+        abelianization(fresh)
+
+
+def test_integer_apply_linear_matches_the_fraction_formula():
+    rng = random.Random(SEED + 38)
+    for _ in range(200):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        m = random_matrix(rng, rows, cols, 4) if rows else IntMatrix.zeros(0, cols)
+        vec = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(cols))
+        expected = tuple(
+            sum((Fraction(m[i, j]) * vec[j] for j in range(cols)), Fraction(0)) for i in range(rows)
+        )
+        got = _apply_linear(m, vec)
+        assert got == expected and all(isinstance(t, Fraction) for t in got)
 
 
 def test_unimodular_inverse_is_built_only_when_read(monkeypatch):

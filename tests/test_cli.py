@@ -14,6 +14,7 @@ import pytest
 
 from cflat import bieberbach, cli, serialize
 from cflat.errors import DomainError, InternalCheckError
+from cflat.glattice import make_glattice
 from cflat.zlinalg import IntMatrix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -205,6 +206,33 @@ def test_h1_prime_at_its_cap_is_bounded(capsys):
     for prime in (2**31, 1_000_000_000_000_000_003):
         code, out, err = run_cli(capsys, "h1", "--g0", rot4, "--prime", str(prime))
         assert code == 1 and out == "" and "exceeds bound" in err
+
+
+def _rank48_worst_orders():
+    """The rank-48 unipotent Jordan block (infinite order) and a rank-48
+    permutation lattice of order 5 * 7 * 9 * 11 * 13 = 45,045."""
+    n = 48
+    jordan = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    image, at = list(range(n)), 0
+    for length in (5, 7, 9, 11, 13):
+        for i in range(length):
+            image[at + i] = at + (i + 1) % length
+        at += length
+    cycles = [[int(image[j] == i) for j in range(n)] for i in range(n)]
+    return jordan, cycles
+
+
+def test_worst_matrix_orders_are_refused_fast(capsys):
+    """make_glattice refuses both within 0.5 s, and h1 exits 1 with one
+    error line and nothing on stdout."""
+    for rows in _rank48_worst_orders():
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="^matrix order exceeds bound 10000$"):
+            make_glattice(IntMatrix(rows))
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.5, elapsed
+        code, out, err = run_cli(capsys, "h1", "--g0", json.dumps(rows))
+        assert (code, out, err) == (1, "", "error: matrix order exceeds bound 10000\n")
 
 
 def test_homology_walks_the_holonomy_once(monkeypatch, capsys):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import SEED, random_finite_order_matrix, random_unimodular
+from conftest import SEED, random_cyclotomic_lattice, random_finite_order_matrix, random_unimodular
 from cflat import glattice
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import (
@@ -39,6 +39,26 @@ def test_make_glattice_validation():
         make_glattice(IntMatrix([[2]]))
     with pytest.raises(DomainError):
         make_glattice(IntMatrix([[1, 1], [0, 1]]))  # infinite order
+
+
+def test_make_glattice_takes_logarithmic_products(monkeypatch):
+    """The order is read off the characteristic polynomial and confirmed
+    by one binary power: O(log k) products, not k."""
+    products = [0]
+    mul = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    rng = random.Random(SEED + 41)
+    lattices = [random_cyclotomic_lattice(rng, max_rank=12) for _ in range(40)]
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    for g0, k in lattices:
+        before = products[0]
+        assert make_glattice(g0).order == k
+        assert products[0] - before <= 2 * k.bit_length(), k
+    assert max(k for _, k in lattices) >= 30
 
 
 def test_h1_frozen_examples():

@@ -2,17 +2,25 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import (
     SEED,
     gcd_minor_divisors,
+    order_oracle,
+    power_sum_oracle,
+    random_cyclotomic_lattice,
     random_finite_order_matrix,
     random_matrix,
     random_unimodular,
+    trial_division_is_prime,
 )
 from cflat.errors import DomainError
+from cflat.zlinalg import matrix
+from cflat.zlinalg.matrix import _charpoly
+from cflat.zlinalg.snf import _is_prime
 from cflat.zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -122,6 +130,139 @@ def test_matrix_order_matches_a_naive_count():
         IntMatrix([[1, 0]]).order(10)
     assert not IntMatrix([[1, 0]]).is_identity()
     assert not IntMatrix.zeros(2, 2).is_identity()
+
+
+def test_power_takes_logarithmic_products(monkeypatch):
+    """m^k costs floor(log2 k) + popcount(k) - 1 products: no multiply
+    by the identity, no squaring that is never read."""
+    products = [0]
+    mul = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    m = IntMatrix([[1, 1], [1, 0]])
+    expected = IntMatrix.identity(2)
+    for k in range(70):
+        before = products[0]
+        assert m.pow(k) == expected, k
+        assert products[0] - before == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
+        expected = expected * m
+
+
+def test_identity_is_one_shared_instance():
+    assert IntMatrix.identity(4) is IntMatrix.identity(4)
+    assert IntMatrix.identity(4) == IntMatrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert IntMatrix.identity(0).rows == IntMatrix.identity(0).cols == 0
+
+
+def test_order_matches_successive_powers_on_finite_order_lattices():
+    """Block sums of cyclotomic companions and signed cycles, conjugated
+    by unimodular words: the cyclotomic order is the order the
+    successive powers find, and the bound is respected."""
+    rng = random.Random(SEED + 8)
+    for _ in range(120):
+        m, k = random_cyclotomic_lattice(rng, max_rank=12)
+        assert order_oracle(m, 1000) == k
+        assert m.order(1000) == k, m
+        assert m.order(k) == k
+        if k > 1:
+            with pytest.raises(DomainError, match=f"^matrix order exceeds bound {k - 1}$"):
+                m.order(k - 1)
+
+
+def test_order_refuses_infinite_order():
+    """Unipotent blocks (cyclotomic characteristic polynomial, not
+    semisimple) and small random matrices agree with the successive
+    powers: the same order, or a refusal."""
+    for n in range(2, 9):
+        jordan = IntMatrix([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)])
+        with pytest.raises(DomainError, match="^matrix order exceeds bound 60$"):
+            jordan.order(60)
+        # the Jordan block plus a rotation of order 3: k = 3 is found, and
+        # its power check refuses
+        rows = [list(jordan.row(i)) + [0, 0] for i in range(n)]
+        rows += [[0] * n + [0, -1], [0] * n + [1, -1]]
+        with pytest.raises(DomainError, match="^matrix order exceeds bound 60$"):
+            IntMatrix(rows).order(60)
+    rng = random.Random(SEED + 9)
+    finite = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        m = random_matrix(rng, n, n, 1)
+        k = order_oracle(m, 60)
+        finite += k is not None
+        if k is None:
+            with pytest.raises(DomainError):
+                m.order(60)
+        else:
+            assert m.order(60) == k, m
+    assert finite  # the draw includes some finite-order matrices
+
+
+def test_power_sum_matches_the_summed_powers():
+    rng = random.Random(SEED + 10)
+    for _ in range(40):
+        m, k = random_cyclotomic_lattice(rng, max_rank=8)
+        norm = m.power_sum(k)
+        assert norm == power_sum_oracle(m, k)
+        assert (m - IntMatrix.identity(m.rows)) * norm == IntMatrix.zeros(m.rows, m.cols)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = random_matrix(rng, n, n, 2)
+        k = rng.randint(0, 20)
+        assert m.power_sum(k) == power_sum_oracle(m, k), (m, k)
+    with pytest.raises(DomainError):
+        IntMatrix([[1, 0]]).power_sum(2)
+
+
+def test_charpoly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def reference(m):
+        coeffs = sympy.Matrix(m.to_lists()).charpoly(x).all_coeffs()
+        return [int(c) for c in reversed(coeffs)]
+
+    rng = random.Random(SEED + 11)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        m = random_matrix(rng, n, n, 3)
+        assert _charpoly(m) == reference(m), m
+    for _ in range(20):
+        m, _ = random_cyclotomic_lattice(rng, max_rank=12)
+        assert _charpoly(m) == reference(m), m
+    assert _charpoly(IntMatrix.zeros(0, 0)) == [1]
+
+
+def test_charpoly_moduli_are_mersenne_primes(monkeypatch):
+    """Lucas-Lehmer on every exponent in the table; past the table's
+    last rank the characteristic polynomial is refused."""
+    for e in matrix._MERSENNE_EXPONENTS:
+        mersenne, s = (1 << e) - 1, 4
+        for _ in range(e - 2):
+            s = (s * s - 2) % mersenne
+        assert s == 0, e
+    monkeypatch.setattr(matrix, "_MERSENNE_EXPONENTS", (61,))
+    # (x - 1)^59 has the largest coefficients the prime 2^61 - 1 must fix
+    assert _charpoly(IntMatrix.identity(59)) == [(-1) ** (59 - i) * comb(59, i) for i in range(60)]
+    with pytest.raises(DomainError, match="past rank 59"):
+        IntMatrix.identity(60).order(10)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 100_000):
+        assert _is_prime(n) == trial_division_is_prime(n), n
+    carmichael = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185, 5394826801)
+    assert not any(_is_prime(n) for n in carmichael)
+    # strong pseudoprimes to bases 2; 2 and 3; 2, 3, 5 and 7
+    assert not any(_is_prime(n) for n in (2047, 1373653, 3215031751))
+    assert _is_prime(2**31 - 1) and _is_prime(2**61 - 1) and not _is_prime(2**31 + 1)
+    # the least strong pseudoprime to every base used is past the bound
+    with pytest.raises(DomainError):
+        _is_prime(318_665_857_834_031_151_167_461)
 
 
 def test_known_backend():
