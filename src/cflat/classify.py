@@ -9,8 +9,9 @@ on degree-one and degree-two mod-2 cohomology.  It does not enumerate
 the multisets of line classes.  Mod 2 and truncated at degree two,
 (1 + L)^2 = 1 + L^2 and (1 + L)^4 = 1, so four copies of a line change
 nothing; every realized pair therefore has a realizer with at most three
-copies of each nontrivial line class, and the search runs over those
-count vectors only (at most 64 of them).  Published class counts are
+copies of each nontrivial line class.  The search walks the reachable
+Whitney states one line class at a time, keeping the least realizer of
+each (at most 8 states over a surface).  Published class counts are
 cross-reported: when the oracle disagrees with a recorded count the
 disagreement is surfaced as data, never patched over.
 
@@ -23,10 +24,9 @@ degree-one mod-2 classes.  Both walks are the bounded breadth-first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import product
 from math import comb, lcm
 from operator import mul
 
@@ -90,23 +90,30 @@ def _closure(gens: list[Mod2Matrix], n: int) -> tuple[Mod2Matrix, ...]:
 @dataclass(frozen=True)
 class AutAction:
     """Fundamental-group automorphisms acting on degree-one mod-2
-    cohomology (they fix the degree-two class of a surface)."""
+    cohomology (they fix the degree-two class of a surface).
+
+    Over its at most four classes the action is tabulated once per base:
+    ``images[bits]`` is the image of ``bits`` under each closure element,
+    in closure order, and ``minima[bits]`` the least class of its orbit.
+    """
 
     base: str
     gens: tuple[Mod2Matrix, ...]
     closure: tuple[Mod2Matrix, ...]
+    images: dict[Mod2Class, tuple[Mod2Class, ...]] = field(compare=False, repr=False)
+    minima: dict[Mod2Class, Mod2Class] = field(compare=False, repr=False)
 
     def orbit_min(self, bits: Mod2Class) -> Mod2Class:
-        return min(_mat2_apply(m, bits) for m in self.closure)
+        return self.minima[bits]
 
     def orbit(self, bits: Mod2Class) -> tuple[Mod2Class, ...]:
-        return tuple(sorted({_mat2_apply(m, bits) for m in self.closure}))
+        return tuple(sorted(set(self.images[bits])))
 
 
 @lru_cache(maxsize=None)
 def aut_action(base: str) -> AutAction:
     """The induced action on degree-one mod-2 classes, built once per
-    base from the generators in ``_ACTIONS``.
+    base (on first use) from the generators in ``_ACTIONS``.
 
     A mod-2 class is a real character's row of angles, doubled, read at
     the positions ``mod2_sources`` names (so the Klein bottle's alpha,
@@ -119,7 +126,10 @@ def aut_action(base: str) -> AutAction:
     data = base_data(base)
     pos = [i if where == "free" else data.ab.group.free_rank + i for where, i in data.mod2_sources]
     gens = [tuple(tuple(m[j][i] % 2 for j in pos) for i in pos) for m in _ACTIONS[base]]
-    return AutAction(base, tuple(gens), _closure(gens, len(pos)))
+    closure = _closure(gens, len(pos))
+    images = {bits: tuple(_mat2_apply(m, bits) for m in closure) for bits in _line_classes(base)}
+    minima = {bits: min(row) for bits, row in images.items()}
+    return AutAction(base, tuple(gens), closure, images, minima)
 
 
 # ======================================================================
@@ -165,32 +175,33 @@ def _realized_values(base: str, s: int) -> dict[tuple, tuple[Mod2Class, ...]]:
 
     Least means fewest nontrivial lines first, then the least tuple.  A
     least realizer never holds four copies of a class, since dropping
-    them leaves the Whitney data unchanged, so the search runs over
-    count vectors in {0..3}^(classes - 1) with at most s lines.  Each
-    candidate's data comes from the Whitney rule
-    (w1, w2) -> (w1 + L, w2 + w1 L), one line at a time.  Padding with
-    the trivial class changes neither the data nor the order among
-    realizers with the same number of nontrivial lines, so the realizer
-    is the trivial class s - n times followed by the n nontrivial lines
-    in class order.
+    them leaves the Whitney data unchanged.  So the search walks the
+    nontrivial classes in order, taking 0 to 3 copies of each; a copy of
+    L moves the Whitney state by (w1, w2) -> (w1 + L, w2 + w1 L).  The
+    state is (w1, w2 mod 2) over a surface and (w1, None) over the
+    circle.  For each reachable state the walk keeps only the least
+    (n, lines) with n <= s: a lesser prefix stays lesser under any common
+    suffix, so the least realizer of every final state extends a kept
+    prefix.  Padding with the trivial class changes neither the data nor
+    the order among realizers with the same number of nontrivial lines,
+    so the realizer is the trivial class s - n times followed by the n
+    nontrivial lines in class order.
     """
     theta, *nontrivial = _line_classes(base)
     table = cup_table(base)
     surface = base_data(base).spec.dim == 2
-    best: dict[tuple, tuple[int, tuple[Mod2Class, ...]]] = {}
-    for counts in product(range(4), repeat=len(nontrivial)):
-        n = sum(counts)
-        if n > s:
-            continue
-        lines = tuple([bits for bits, c in zip(nontrivial, counts) for _ in range(c)])
-        w1, w2 = theta, 0
-        for bits in lines:
-            w2 += table.cup(w1, bits)
-            w1 = mod2_add(w1, bits)
-        value = (w1, w2 % 2 if surface else None)
-        key = (n, lines)
-        if value not in best or key < best[value]:
-            best[value] = key
+    best: dict[tuple, tuple[int, tuple[Mod2Class, ...]]] = {(theta, 0 if surface else None): (0, ())}
+    for bits in nontrivial:
+        walked = {}
+        for (w1, w2), (n, lines) in best.items():
+            for k in range(min(3, s - n) + 1):
+                if k:
+                    w2 = (w2 + table.cup(w1, bits)) % 2 if surface else None
+                    w1 = mod2_add(w1, bits)
+                key = (n + k, lines + (bits,) * k)
+                if (w1, w2) not in walked or key < walked[w1, w2]:
+                    walked[w1, w2] = key
+        best = walked
     return {value: (theta,) * (s - n) + lines for value, (n, lines) in best.items()}
 
 
@@ -211,12 +222,14 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
 
     Finds every realized Whitney pair with its least realizing multiset
     of line classes (the trivial class included, which is what padding
-    means in the stable range) by the bounded search of
+    means in the stable range) by the state walk of
     ``_realized_values``: four copies of a line change nothing, so at
-    most three copies of each nontrivial class are ever needed.  Groups
-    the pairs into automorphism orbits and returns one class per orbit,
-    deterministically ordered.  Each class's realizer is re-checked
-    with ``sw_vector``.
+    most three copies of each nontrivial class are ever needed.  Checks
+    against the ``aut_action`` tables that the realized pairs are closed
+    under the automorphism action, groups them into orbits and returns
+    one class per orbit, deterministically ordered.  Each class's
+    realizer is built from ``line_with_w1`` lines and re-checked with
+    ``sw_vector``.
     """
     if base not in _SURFACE_BASES:
         raise DomainError(f"classification implemented over {_SURFACE_BASES}")
@@ -232,8 +245,8 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     action = aut_action(base)
     realized = _realized_values(base, s)
     for (w1, w2) in realized:
-        for g in action.closure:
-            if (_mat2_apply(g, w1), w2) not in realized:
+        for image in action.images[w1]:
+            if (image, w2) not in realized:
                 raise InternalCheckError(
                     "realized Whitney data is not closed under the automorphism action"
                 )
@@ -304,7 +317,8 @@ def classification_report(base: str, total_dim: int) -> ClassificationReport:
 
 def stably_diffeomorphic(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
     """Whether the total spaces are stably diffeomorphic: same base and
-    Whitney data in one automorphism orbit."""
+    Whitney data in one automorphism orbit (read off the orbit minima
+    tabulated by ``aut_action``)."""
     if b1.base != b2.base:
         raise DomainError("stable comparison needs a common base")
     if b1.base not in _SURFACE_BASES:

@@ -36,6 +36,8 @@ from .zlinalg import IntMatrix
 Mod2Class = tuple[int, ...]
 
 _TOTAL_HOLONOMY_BOUND = 4096
+_ZERO = Fraction(0)
+_HALF = Fraction(1, 2)
 
 
 # ======================================================================
@@ -124,12 +126,14 @@ class LineRep:
     def __post_init__(self):
         if self.kind not in ("real", "complex"):
             raise DomainError(f"unknown line kind {self.kind!r}")
-        object.__setattr__(self, "free", tuple(Fraction(v) for v in self.free))
-        object.__setattr__(self, "torsion", tuple(Fraction(v) for v in self.torsion))
+        object.__setattr__(self, "free", _fractions(self.free))
+        object.__setattr__(self, "torsion", _fractions(self.torsion))
+        real = self.kind == "real"
         for v in (*self.free, *self.torsion):
             if not 0 <= v < 1:
                 raise DomainError(f"angle {v} outside [0, 1)")
-            if self.kind == "real" and v not in (Fraction(0), Fraction(1, 2)):
+            # in [0, 1), denominator 1 or 2 means 0 or 1/2
+            if real and v.denominator > 2:
                 raise DomainError(f"real character angle must be 0 or 1/2, got {v}")
 
     @property
@@ -147,6 +151,11 @@ class LineRep:
         )
 
 
+def _fractions(values) -> tuple[Fraction, ...]:
+    """The angles as Fractions; Fraction inputs are kept as they are."""
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+
+
 def validate_line(base: str, rep: LineRep) -> None:
     """Check the character is a well-defined one on H_1 of the base."""
     data = base_data(base)
@@ -160,7 +169,7 @@ def validate_line(base: str, rep: LineRep) -> None:
             f"{base} has {len(g.torsion)} torsion generators, got {len(rep.torsion)} angles"
         )
     for angle, d in zip(rep.torsion, g.torsion):
-        if (angle * d).denominator != 1:
+        if d % angle.denominator:
             raise DomainError(
                 f"angle {angle} is not defined on a torsion generator of order {d}"
             )
@@ -192,14 +201,14 @@ def line_with_w1(base: str, bits: Mod2Class, kind: str = "real") -> LineRep:
     if len(bits) != len(data.mod2_sources):
         raise DomainError("bit-vector length mismatch")
     g = data.ab.group
-    free = [Fraction(0)] * g.free_rank
-    tors = [Fraction(0)] * len(g.torsion)
+    free = [_ZERO] * g.free_rank
+    tors = [_ZERO] * len(g.torsion)
     for bit, (where, idx) in zip(bits, data.mod2_sources):
         if bit:
             if where == "free":
-                free[idx] = Fraction(1, 2)
+                free[idx] = _HALF
             else:
-                tors[idx] = Fraction(1, 2)
+                tors[idx] = _HALF
     return LineRep(kind, tuple(free), tuple(tors))
 
 
@@ -238,7 +247,7 @@ def _w1_bits(base: str, rep: LineRep) -> Mod2Class:
     bits = []
     for where, idx in base_data(base).mod2_sources:
         v = rep.free[idx] if where == "free" else rep.torsion[idx]
-        bits.append(1 if v == Fraction(1, 2) else 0)
+        bits.append(1 if v == _HALF else 0)
     return tuple(bits)
 
 

@@ -52,8 +52,9 @@ def snf_inplace(d, u, v):
     ``u`` and ``v`` must come in as identity matrices of the row and
     column dimension; every elementary operation applied to ``d`` is
     mirrored into them, so ``u * d_original * v == d_final`` holds on
-    exit with ``u`` and ``v`` unimodular.  The final ``d`` is diagonal
-    with nonnegative entries forming a divisibility chain.
+    exit with ``u`` and ``v`` unimodular.  A witness passed as ``None``
+    is not kept: nothing is mirrored into it.  The final ``d`` is
+    diagonal with nonnegative entries forming a divisibility chain.
 
     Pivot rule: the entry of smallest nonzero magnitude in the
     untouched block, first match in row-major scan order.
@@ -81,15 +82,18 @@ def snf_inplace(d, u, v):
             break  # nothing nonzero left
         if best_i != t:
             d[t], d[best_i] = d[best_i], d[t]
-            u[t], u[best_i] = u[best_i], u[t]
+            if u is not None:
+                u[t], u[best_i] = u[best_i], u[t]
         if best_j != t:
             _swap_cols(d, t, best_j)
-            _swap_cols(v, t, best_j)
+            if v is not None:
+                _swap_cols(v, t, best_j)
         while True:
             p = d[t][t]
             if p < 0:
                 _negate_row(d, t)
-                _negate_row(u, t)
+                if u is not None:
+                    _negate_row(u, t)
                 p = -p
             again = False
             for i in range(t + 1, nr):
@@ -98,11 +102,13 @@ def snf_inplace(d, u, v):
                     q = e // p
                     if q:
                         _row_sub(d, i, t, q)
-                        _row_sub(u, i, t, q)
+                        if u is not None:
+                            _row_sub(u, i, t, q)
                     if d[i][t]:
                         # remainder beats the pivot; promote it
                         d[t], d[i] = d[i], d[t]
-                        u[t], u[i] = u[i], u[t]
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
                         again = True
                         break
             if again:
@@ -113,10 +119,12 @@ def snf_inplace(d, u, v):
                     q = e // p
                     if q:
                         _col_sub(d, j, t, q)
-                        _col_sub(v, j, t, q)
+                        if v is not None:
+                            _col_sub(v, j, t, q)
                     if d[t][j]:
                         _swap_cols(d, t, j)
-                        _swap_cols(v, t, j)
+                        if v is not None:
+                            _swap_cols(v, t, j)
                         again = True
                         break
             if again:
@@ -131,7 +139,8 @@ def snf_inplace(d, u, v):
             for j in range(t + 1, nc):
                 if di[j] % p:
                     _row_add(d, t, i)
-                    _row_add(u, t, i)
+                    if u is not None:
+                        _row_add(u, t, i)
                     clean = False
                     break
             if not clean:

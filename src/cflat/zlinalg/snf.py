@@ -4,7 +4,8 @@ Everything is exact integer arithmetic.  The decomposition carries its
 unimodular transforms so callers can verify ``u * m * v == d``
 directly; derived operations (cokernel, kernel basis, solution of
 linear systems over Z, counts of solutions mod m) all reduce to one
-Smith decomposition.
+Smith reduction.  Those that read only the diagonal (cokernel and
+counts mod m) run the same kernel without building the transforms.
 """
 
 from __future__ import annotations
@@ -87,14 +88,21 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     )
 
 
+def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
+    """The diagonal of the Smith form of ``m`` (zeros kept), reduced
+    without building the transforms."""
+    d = m.to_lists()
+    backend.snf_inplace(d, None, None)
+    return tuple(d[i][i] for i in range(min(m.rows, m.cols)))
+
+
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """Z^rows modulo the lattice spanned by the columns of ``m``.
 
     >>> str(cokernel(IntMatrix([[2, 0], [0, 3]])))
     'Z/6'
     """
-    dec = smith_normal_form(m)
-    divisors = dec.divisors
+    divisors = [e for e in _smith_diagonal(m) if e]
     free = m.rows - len(divisors)
     torsion = [e for e in divisors if e > 1]
     return AbelianGroup(free, tuple(torsion))
@@ -169,9 +177,8 @@ def fixed_card_mod(m: IntMatrix, modulus: int) -> int:
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
-    dec = smith_normal_form(m)
     count = 1
-    diag = dec.diagonal
+    diag = _smith_diagonal(m)
     for e in diag:
         count *= modulus if e == 0 else gcd(e, modulus)
     count *= modulus ** (m.cols - len(diag))

@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from cflat.bieberbach import BieberbachGroupSpec
@@ -20,6 +20,7 @@ from cflat.flatbundle import (
     c1_of_line,
     cup_table,
     line_with_w1,
+    mod2_add,
     mod2_zero,
     sw_vector,
     w1_of_line,
@@ -278,6 +279,33 @@ def realized_values_oracle(base: str, s: int) -> dict:
         if value not in realized or key < realized[value]:
             realized[value] = key
     return {value: key[1] for value, key in realized.items()}
+
+
+# Count-vector search: the oracle for the state walk in
+# cflat.classify._realized_values.  It runs the Whitney rule from the
+# start for every vector of 0 to 3 copies of each nontrivial class with
+# at most s lines, and keeps the least (n, lines) for each Whitney pair.
+
+
+def realized_values_search_oracle(base: str, s: int) -> dict:
+    theta, *nontrivial = _line_classes(base)
+    table = cup_table(base)
+    surface = base_data(base).spec.dim == 2
+    best = {}
+    for counts in product(range(4), repeat=len(nontrivial)):
+        n = sum(counts)
+        if n > s:
+            continue
+        lines = tuple([bits for bits, c in zip(nontrivial, counts) for _ in range(c)])
+        w1, w2 = theta, 0
+        for bits in lines:
+            w2 += table.cup(w1, bits)
+            w1 = mod2_add(w1, bits)
+        value = (w1, w2 % 2 if surface else None)
+        key = (n, lines)
+        if value not in best or key < best[value]:
+            best[value] = key
+    return {value: (theta,) * (s - n) + lines for value, (n, lines) in best.items()}
 
 
 def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:

@@ -20,6 +20,7 @@ from conftest import (
     orbit,
     random_angles,
     realized_values_oracle,
+    realized_values_search_oracle,
 )
 from cflat import classify
 from cflat.classify import (
@@ -38,7 +39,7 @@ from cflat.classify import (
     torus_moduli_canonical,
 )
 from cflat.errors import DomainError, InternalCheckError
-from cflat.flatbundle import FlatBundleSpec, LineRep, line_with_w1, sw_vector
+from cflat.flatbundle import CupTable, FlatBundleSpec, LineRep, line_with_w1, sw_vector
 
 F = Fraction
 
@@ -58,6 +59,19 @@ def test_aut_action_orders():
     # each closure is the group the hand-written mod-2 generators generate
     for base, gens in AUT_MOD2_GENERATORS.items():
         assert set(aut_action(base).closure) == mod2_closure(gens)
+
+
+def test_aut_action_tables_match_the_closure():
+    """The per-base tables are the closure applied class by class: each
+    class's images in closure order, and the least of them."""
+    for base in ("S1", "T2", "K"):
+        action = aut_action(base)
+        assert set(action.images) == set(action.minima) == set(classify._line_classes(base))
+        for bits in classify._line_classes(base):
+            images = tuple(classify._mat2_apply(m, bits) for m in action.closure)
+            assert action.images[bits] == images, (base, bits)
+            assert action.minima[bits] == min(images) == action.orbit_min(bits), (base, bits)
+            assert action.orbit(bits) == tuple(sorted(set(images))), (base, bits)
 
 
 def test_automorphism_closure_past_its_bound_raises(monkeypatch):
@@ -114,6 +128,39 @@ def test_realizer_search_matches_enumeration_oracle(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(classify, "_realized_values", lambda b, s: oracle)
                 assert diffeo_classes(base, dim) == fast, (base, dim)
+
+
+def test_state_walk_matches_count_vector_search():
+    """The walk over Whitney states finds the same least realizers as
+    running the Whitney rule on every count vector, at every dimension
+    ``diffeo_classes`` accepts."""
+    for base, first_dim in (("S1", 2), ("T2", 4), ("K", 4)):
+        base_dim = 1 if base == "S1" else 2
+        for dim in range(first_dim, 41):
+            s = dim - base_dim
+            assert classify._realized_values(base, s) == realized_values_search_oracle(base, s), (base, dim)
+
+
+def test_state_walk_cup_budget(monkeypatch):
+    """Design pin: the walk applies the Whitney rule a few dozen times per
+    search, not once per line of every count vector (289 times at
+    dimension 20 over a surface)."""
+    calls = []
+    cup = CupTable.cup
+
+    def counted(self, a, b):
+        calls.append(1)
+        return cup(self, a, b)
+
+    monkeypatch.setattr(CupTable, "cup", counted)
+    for base in ("T2", "K"):
+        for s in (2, 3, 4, 6, 10, 18, 38):
+            calls.clear()
+            classify._realized_values(base, s)
+            assert 0 < len(calls) <= 96, (base, s, len(calls))
+    calls.clear()
+    classify._realized_values("S1", 10)
+    assert not calls  # the circle has no degree-two class to track
 
 
 def test_class_realizers_are_rechecked(monkeypatch):

@@ -3,6 +3,7 @@ and every command shown in the README."""
 
 import dataclasses
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -309,6 +310,29 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["h1"]["name"] == "Z/4 + Z/4"
+
+
+def test_cli_import_builds_no_base_tables():
+    """Importing the CLI computes nothing per base: the base data, cup
+    tables and automorphism tables are built on first use, since every
+    CLI call pays the import."""
+    import cflat
+
+    script = (
+        "import cflat.cli\n"
+        "from cflat.classify import aut_action\n"
+        "from cflat.flatbundle import base_data, cup_table\n"
+        "print([f.cache_info().currsize for f in (base_data, cup_table, aut_action)])\n"
+    )
+    src = str(Path(cflat.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0]"
 
 
 def test_readme_commands_run_clean(capsys):

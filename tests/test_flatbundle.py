@@ -66,14 +66,40 @@ def test_line_w1_roundtrip():
 
 
 def test_validate_line_rejects_bad_characters():
-    with pytest.raises(DomainError):
+    """Each rejection names the offending input."""
+    with pytest.raises(DomainError, match=r"^real character angle must be 0 or 1/2, got 1/3$"):
         validate_line("T2", real_line(("1/3", "0")))  # real must be half-integral
-    with pytest.raises(DomainError):
-        validate_line("K", LineRep("complex", (F(0),), (F(1, 3),)))  # kills no 2-torsion
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^real character angle must be 0 or 1/2, got 3/4$"):
+        LineRep("real", (F(0),), (F(3, 4),))
+    with pytest.raises(DomainError, match=r"^T2 has 2 free generators, got 1 angles$"):
         validate_line("T2", real_line((0,)))  # wrong arity
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^unknown line kind 'quaternionic'$"):
         LineRep("quaternionic", ())
+    for bad in (F(1), F(-1, 2), F(3, 2)):
+        with pytest.raises(DomainError, match=rf"^angle {bad} outside \[0, 1\)$"):
+            LineRep("complex", (bad,))
+    with pytest.raises(DomainError, match=r"^angle 1 outside \[0, 1\)$"):
+        LineRep("real", (F(0),), (1,))  # range is checked before the real-angle test
+    for angle in (F(1, 3), F(1, 4)):  # kills no 2-torsion
+        with pytest.raises(DomainError, match=rf"^angle {angle} is not defined on a torsion generator of order 2$"):
+            validate_line("K", LineRep("complex", (F(0),), (angle,)))
+    with pytest.raises(DomainError, match=r"^angle 1/2 is not defined on a torsion generator of order 3$"):
+        validate_line("G3", LineRep("complex", (F(0),), (F(1, 2),)))
+    # G3 has torsion Z/3 and K has Z/2: angles of a dividing order pass
+    validate_line("G3", LineRep("complex", (F(0),), (F(2, 3),)))
+    validate_line("K", LineRep("complex", (F(1, 7),), (F(1, 2),)))
+
+
+def test_line_angles_are_fractions():
+    """Fraction angles are kept as given; int, str and float angles are
+    converted to Fractions."""
+    half, third = F(1, 2), F(1, 3)
+    rep = LineRep("complex", (half, third))
+    assert rep.free[0] is half and rep.free[1] is third
+    rep = LineRep("real", [0, "1/2"], (0.5,))
+    assert rep.free == (F(0), F(1, 2)) and rep.torsion == (F(1, 2),)
+    assert all(type(v) is Fraction for v in rep.free + rep.torsion)
+    assert LineRep("complex", ("0.25",)).free == (F(1, 4),)
 
 
 def test_klein_generator_values():

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -20,7 +20,7 @@ from conftest import (
 from cflat.errors import DomainError
 from cflat.zlinalg import matrix
 from cflat.zlinalg.matrix import _charpoly
-from cflat.zlinalg.snf import _is_prime
+from cflat.zlinalg.snf import _is_prime, _smith_diagonal
 from cflat.zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -332,6 +332,38 @@ def test_snf_invariant_under_unimodular_change():
         p = random_unimodular(rng, n)
         q = random_unimodular(rng, n)
         assert smith_normal_form(p * m * q).divisors == smith_normal_form(m).divisors
+
+
+def test_unwitnessed_smith_diagonal_matches_witnessed_form():
+    """The kernel run without transforms (what cokernel and fixed_card_mod
+    read) gives the witnessed form's diagonal, on empty, singular and
+    rectangular matrices too."""
+    rng = random.Random(SEED + 3)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(150)]
+    for rows, cols in shapes:
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 12, 40)))
+        if rows and cols and rng.random() < 0.3:
+            # singular: repeat a row (or a column) as a multiple of another
+            lists = m.to_lists()
+            if rows > 1:
+                lists[-1] = [2 * x for x in lists[0]]
+            else:
+                for row in lists:
+                    row[-1] = -row[0]
+            m = IntMatrix(lists)
+        dec = smith_normal_form(m)
+        assert _smith_diagonal(m) == dec.diagonal, m.to_lists()
+        divisors = dec.divisors
+        assert cokernel(m) == AbelianGroup(m.rows - len(divisors), tuple(e for e in divisors if e > 1))
+        for modulus in (2, 6):
+            expected = modulus ** (m.cols - len(divisors))
+            for e in divisors:
+                expected *= gcd(e, modulus)
+            assert fixed_card_mod(m, modulus) == expected
+    assert _smith_diagonal(IntMatrix.zeros(0, 3)) == ()
+    assert _smith_diagonal(IntMatrix.zeros(3, 0)) == ()
+    assert _smith_diagonal(IntMatrix.zeros(2, 3)) == (0, 0)
 
 
 # ----------------------------------------------------------------------
