@@ -43,6 +43,8 @@ from .zlinalg import AbelianGroup, IntMatrix, smith_normal_form
 from .zlinalg.snf import SNFDecomposition, inverse_unimodular
 
 _HOLONOMY_BOUND = 1000
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 # ======================================================================
@@ -367,19 +369,21 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     New coordinate last: the extra generator acts by the automorphism
     on the old block and translates the new coordinate by 1/order, so
     its order-th power is the new lattice vector.
+
+    Built from rows that were already checked: the unit translations
+    share two ``Fraction`` constants, and the screw's linear part wraps
+    the rows of ``lat.g0`` unchecked.  The spec still checks the screw's
+    determinant, the only check of g0 on a ``GLattice`` built by hand.
     """
     n = lat.rank
     k = lat.order
     dim = n + 1
-    gens = [translation_map(dim, [1 if j == i else 0 for j in range(dim)]) for i in range(n)]
-    block = [
-        [lat.g0[i, j] if i < n and j < n else (1 if i == j else 0) for j in range(dim)]
-        for i in range(dim)
-    ]
-    screw = AffineMap(
-        IntMatrix(block),
-        tuple(Fraction(0) if i < n else Fraction(1, k) for i in range(dim)),
-    )
+    g0 = lat.g0
+    if g0.rows != n or g0.cols != n:
+        raise DomainError(f"lattice of rank {n} with a {g0.rows}x{g0.cols} automorphism")
+    gens = [translation_map(dim, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i)) for i in range(n)]
+    block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
+    screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
     return BieberbachGroupSpec(
         name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,)
     )

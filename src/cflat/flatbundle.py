@@ -183,7 +183,9 @@ class FlatBundleSpec:
     summands: tuple[LineRep, ...]
 
     def __post_init__(self):
-        for rep in dict.fromkeys(self.summands):
+        # each summand object is validated once, in first-occurrence
+        # order; deduping by identity hashes no Fraction angle
+        for rep in {id(rep): rep for rep in self.summands}.values():
             validate_line(self.base, rep)
 
     @property

@@ -2,9 +2,14 @@
 
 These are the inner loops everything else sits on: Smith reduction,
 mod-p Gaussian elimination, fraction-free determinants and matrix
-products, all on plain lists of lists of Python ints (arbitrary
-precision, no floating point anywhere).  Callers validate their
-matrices before handing them in; nothing here re-checks entries.
+products, all on rows of Python ints (arbitrary precision, no floating
+point anywhere).  Callers validate their matrices before handing them
+in; nothing here re-checks entries.
+
+The three elimination kernels (``*_inplace``) work on a list of list
+rows and destroy it.  ``matmul`` only reads its inputs, so an immutable
+matrix can hand it its own row tuples.  It takes the right factor as
+sparse rows and touches only the nonzero entries of both factors.
 
 ``KERNEL_BACKEND`` names this implementation; result records stamp it
 so timings are only compared between runs of the same kernels.
@@ -41,9 +46,11 @@ def _row_add(m, t, i):
 
 
 def _col_sub(m, j, t, q):
-    # col j -= q * col t
+    # col j -= q * col t, skipping the rows where col t is zero
     for row in m:
-        row[j] -= q * row[t]
+        e = row[t]
+        if e:
+            row[j] -= q * e
 
 
 def snf_inplace(d, u, v):
@@ -57,7 +64,9 @@ def snf_inplace(d, u, v):
     diagonal with nonnegative entries forming a divisibility chain.
 
     Pivot rule: the entry of smallest nonzero magnitude in the
-    untouched block, first match in row-major scan order.
+    untouched block, first match in row-major scan order.  The scan stops
+    at the first unit, which no later entry can beat, and a unit pivot
+    skips the divisibility check of the remaining block.
     """
     nr = len(d)
     nc = len(d[0]) if nr else 0
@@ -78,6 +87,10 @@ def snf_inplace(d, u, v):
                         best = e
                         best_i = i
                         best_j = j
+                        if e == 1:
+                            break
+            if best == 1:
+                break
         if best_i < 0:
             break  # nothing nonzero left
         if best_i != t:
@@ -134,7 +147,7 @@ def snf_inplace(d, u, v):
         # divisor chain; fold an offending row into row t and redo
         p = d[t][t]
         clean = True
-        for i in range(t + 1, nr):
+        for i in range(t + 1, nr if p != 1 else t + 1):  # 1 divides all
             di = d[i]
             for j in range(t + 1, nc):
                 if di[j] % p:
@@ -218,20 +231,26 @@ def det_inplace(m):
     return sign * m[n - 1][n - 1]
 
 
-def matmul(a, b):
-    """Product of two lists-of-lists; inner dimensions must agree."""
-    n = len(a)
-    k = len(b)
-    nc = len(b[0]) if k else 0
+def sparse_rows(m):
+    """The nonzero entries of each row of ``m`` as (column, value) pairs,
+    the form in which ``matmul`` takes its right factor."""
+    return tuple([tuple([(j, x) for j, x in enumerate(row) if x]) for row in m])
+
+
+def matmul(a, b, cols):
+    """Product of the rows ``a`` by the right factor whose sparse rows are
+    ``b`` (``sparse_rows``) and which has ``cols`` columns; inner
+    dimensions must agree.
+
+    Each nonzero a[i][t] adds its multiple of row t of the right factor
+    over that row's nonzero entries only.  Neither input is mutated.
+    """
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = [0] * nc
-        for t in range(k):
-            f = ai[t]
+    for ai in a:
+        row = [0] * cols
+        for f, bt in zip(ai, b):
             if f:
-                bt = b[t]
-                for j in range(nc):
-                    row[j] += f * bt[j]
+                for j, x in bt:
+                    row[j] += f * x
         out.append(row)
     return out

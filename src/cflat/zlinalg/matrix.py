@@ -11,6 +11,7 @@ with the unchecked ``IntMatrix._of``.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -37,7 +38,7 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "_data", "_sparse")
 
     def __init__(self, entries: Iterable[Sequence[int]]):
         data = tuple(tuple(row) for row in entries)
@@ -133,6 +134,13 @@ class IntMatrix:
     # -- arithmetic --------------------------------------------------
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Matrix product by ``backend.matmul``, which reads this matrix's
+        row tuples and the right factor's sparse rows without copying.
+
+        A matrix builds its sparse rows the first time it is a right
+        factor and keeps them: the holonomy walk and ``pow`` multiply by
+        the same generator again and again.
+        """
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -141,7 +149,15 @@ class IntMatrix:
             )
         if not other.rows:
             return IntMatrix.zeros(self.rows, other.cols)
-        return IntMatrix._of(backend.matmul(self.to_lists(), other.to_lists()), other.cols)
+        return IntMatrix._of(backend.matmul(self._data, other._sparse_rows(), other.cols), other.cols)
+
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        try:
+            return self._sparse
+        except AttributeError:
+            sparse = backend.sparse_rows(self._data)
+            object.__setattr__(self, "_sparse", sparse)
+            return sparse
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
@@ -354,9 +370,15 @@ def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
     return k if len(chi) == 1 and k <= bound else None
 
 
-def _cyclotomic(m: int) -> list[int]:
+@lru_cache(maxsize=None)
+def _cyclotomic(m: int) -> tuple[int, ...]:
     """Phi_m, constant term first: Phi_(rp)(x) = Phi_r(x^p) / Phi_r(x) for
-    a prime p not dividing r, and Phi_m(x) = Phi_rad(m)(x^(m / rad(m)))."""
+    a prime p not dividing r, and Phi_m(x) = Phi_rad(m)(x^(m / rad(m))).
+
+    Tabulated per m on first use, as a tuple that no caller can change.
+    ``_cyclotomic_order`` asks only for the m with phi(m) at most the
+    rank of a matrix whose order was asked for.
+    """
     phi, rad, rest, q = [-1, 1], 1, m, 2
     while rest > 1:
         if q * q > rest:
@@ -367,7 +389,7 @@ def _cyclotomic(m: int) -> list[int]:
             while rest % q == 0:
                 rest //= q
         q += 1
-    return _substitute(phi, m // rad)
+    return tuple(_substitute(phi, m // rad))
 
 
 def _substitute(poly: list[int], e: int) -> list[int]:

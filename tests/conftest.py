@@ -12,7 +12,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from cflat.bieberbach import BieberbachGroupSpec
+from cflat.bieberbach import AffineMap, BieberbachGroupSpec, translation_map
 from cflat.classify import _line_classes
 from cflat.flatbundle import (
     FlatBundleSpec,
@@ -449,3 +449,169 @@ def random_cyclotomic_lattice(rng: random.Random, max_rank: int) -> tuple[IntMat
     core = _block_diag(blocks)  # the first block always fits
     w = random_unimodular(rng, core.rows)
     return w * core * inverse_unimodular(w), order
+
+
+# The dense kernels: the oracles for the sparse product and the Smith
+# reduction of cflat.zlinalg.backend.  The product walks every column of
+# the right factor for each nonzero left entry; the Smith reduction scans
+# the whole block for its pivot and checks divisibility even at a unit
+# pivot.  Both work on lists of lists; the Smith reduction mutates them.
+
+
+def matmul_oracle(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    k = len(b)
+    nc = len(b[0]) if k else 0
+    out = []
+    for i in range(n):
+        ai = a[i]
+        row = [0] * nc
+        for t in range(k):
+            f = ai[t]
+            if f:
+                bt = b[t]
+                for j in range(nc):
+                    row[j] += f * bt[j]
+        out.append(row)
+    return out
+
+
+def _swap_cols(m, a, b):
+    for row in m:
+        row[a], row[b] = row[b], row[a]
+
+
+def _negate_row(m, i):
+    row = m[i]
+    for j in range(len(row)):
+        row[j] = -row[j]
+
+
+def _row_sub(m, i, t, q):
+    ri = m[i]
+    rt = m[t]
+    for j in range(len(ri)):
+        ri[j] -= q * rt[j]
+
+
+def _row_add(m, t, i):
+    rt = m[t]
+    ri = m[i]
+    for j in range(len(rt)):
+        rt[j] += ri[j]
+
+
+def _col_sub(m, j, t, q):
+    for row in m:
+        row[j] -= q * row[t]
+
+
+def snf_inplace_oracle(d, u, v):
+    """Smith reduction with the same pivot rule and order of operations as
+    ``backend.snf_inplace``; ``u`` and ``v`` are identities or None."""
+    nr = len(d)
+    nc = len(d[0]) if nr else 0
+    limit = min(nr, nc)
+    t = 0
+    while t < limit:
+        best_i = -1
+        best_j = -1
+        best = 0
+        for i in range(t, nr):
+            di = d[i]
+            for j in range(t, nc):
+                e = di[j]
+                if e:
+                    if e < 0:
+                        e = -e
+                    if best_i < 0 or e < best:
+                        best = e
+                        best_i = i
+                        best_j = j
+        if best_i < 0:
+            break
+        if best_i != t:
+            d[t], d[best_i] = d[best_i], d[t]
+            if u is not None:
+                u[t], u[best_i] = u[best_i], u[t]
+        if best_j != t:
+            _swap_cols(d, t, best_j)
+            if v is not None:
+                _swap_cols(v, t, best_j)
+        while True:
+            p = d[t][t]
+            if p < 0:
+                _negate_row(d, t)
+                if u is not None:
+                    _negate_row(u, t)
+                p = -p
+            again = False
+            for i in range(t + 1, nr):
+                e = d[i][t]
+                if e:
+                    q = e // p
+                    if q:
+                        _row_sub(d, i, t, q)
+                        if u is not None:
+                            _row_sub(u, i, t, q)
+                    if d[i][t]:
+                        d[t], d[i] = d[i], d[t]
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
+                        again = True
+                        break
+            if again:
+                continue
+            for j in range(t + 1, nc):
+                e = d[t][j]
+                if e:
+                    q = e // p
+                    if q:
+                        _col_sub(d, j, t, q)
+                        if v is not None:
+                            _col_sub(v, j, t, q)
+                    if d[t][j]:
+                        _swap_cols(d, t, j)
+                        if v is not None:
+                            _swap_cols(v, t, j)
+                        again = True
+                        break
+            if again:
+                continue
+            break
+        p = d[t][t]
+        clean = True
+        for i in range(t + 1, nr):
+            di = d[i]
+            for j in range(t + 1, nc):
+                if di[j] % p:
+                    _row_add(d, t, i)
+                    if u is not None:
+                        _row_add(u, t, i)
+                    clean = False
+                    break
+            if not clean:
+                break
+        if clean:
+            t += 1
+
+
+# The mapping torus through the validating constructors: the oracle for
+# cflat.bieberbach.mapping_torus, which builds its generators from rows
+# that were already checked.
+
+
+def mapping_torus_oracle(lat) -> BieberbachGroupSpec:
+    n = lat.rank
+    k = lat.order
+    dim = n + 1
+    gens = [translation_map(dim, [1 if j == i else 0 for j in range(dim)]) for i in range(n)]
+    block = [
+        [lat.g0[i, j] if i < n and j < n else (1 if i == j else 0) for j in range(dim)]
+        for i in range(dim)
+    ]
+    screw = AffineMap(
+        IntMatrix(block),
+        tuple(Fraction(0) if i < n else Fraction(1, k) for i in range(dim)),
+    )
+    return BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))

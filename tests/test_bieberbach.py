@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     SEED,
     cyclic_relator_oracle,
+    mapping_torus_oracle,
     orbit,
     random_cyclotomic_lattice,
     random_finite_order_matrix,
@@ -34,7 +35,7 @@ from cflat.bieberbach import (
     translation_map,
 )
 from cflat.errors import DomainError, InternalCheckError
-from cflat.glattice import coinvariants, h1_oracle, make_glattice
+from cflat.glattice import GLattice, coinvariants, h1_oracle, make_glattice
 from cflat.zlinalg import AbelianGroup, IntMatrix, cokernel
 
 # name -> (first homology, holonomy order, holonomy cyclic)
@@ -144,6 +145,37 @@ def test_mapping_torus_homology():
         assert spec.dim == lat.rank + 1
         got = abelianization(spec).group
         assert got == AbelianGroup(full.free_rank + 1, full.torsion)
+
+
+def test_mapping_torus_matches_the_validating_construction(monkeypatch):
+    """The spec built from checked rows equals the one built through the
+    validating constructors, and calls no IntMatrix constructor."""
+    rng = random.Random(SEED + 31)
+    lattices = [make_glattice(IntMatrix([[-1]]))]
+    lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=10)[0]) for _ in range(49)]
+    expected = [mapping_torus_oracle(lat) for lat in lattices]
+    inits = []
+    init = IntMatrix.__init__
+
+    def counting_init(self, entries):
+        inits.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    for lat, want in zip(lattices, expected):
+        got = mapping_torus(lat)
+        assert (got.name, got.dim, got.gens) == (want.name, want.dim, want.gens)
+    assert inits == []
+
+
+def test_mapping_torus_still_checks_a_hand_built_lattice():
+    """GLattice(...) does not validate g0; the spec's determinant check
+    does, and a g0 of the wrong shape is refused."""
+    lat = GLattice(rank=2, g0=IntMatrix([[2, 0], [0, 1]]), order=2)
+    with pytest.raises(DomainError, match="generator linear part is not unimodular"):
+        mapping_torus(lat)
+    with pytest.raises(DomainError, match="rank 3 with a 2x2 automorphism"):
+        mapping_torus(GLattice(rank=3, g0=IntMatrix([[0, 1], [1, 0]]), order=2))
 
 
 def test_mapping_torus_of_reflection_is_klein():

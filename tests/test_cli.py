@@ -314,15 +314,17 @@ def test_module_entry_point():
 
 def test_cli_import_builds_no_base_tables():
     """Importing the CLI computes nothing per base: the base data, cup
-    tables and automorphism tables are built on first use, since every
-    CLI call pays the import."""
+    tables, automorphism tables and the table of cyclotomic polynomials
+    are built on first use, since every CLI call pays the import."""
     import cflat
 
     script = (
         "import cflat.cli\n"
         "from cflat.classify import aut_action\n"
         "from cflat.flatbundle import base_data, cup_table\n"
-        "print([f.cache_info().currsize for f in (base_data, cup_table, aut_action)])\n"
+        "from cflat.zlinalg.matrix import _cyclotomic\n"
+        "tables = (base_data, cup_table, aut_action, _cyclotomic)\n"
+        "print([f.cache_info().currsize for f in tables])\n"
     )
     src = str(Path(cflat.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -332,7 +334,7 @@ def test_cli_import_builds_no_base_tables():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0]"
 
 
 def test_readme_commands_run_clean(capsys):

@@ -396,3 +396,21 @@ def test_each_distinct_summand_is_validated_once(monkeypatch):
     assert checked == []
     with pytest.raises(DomainError, match="K has 1 free generators, got 2 angles"):
         FlatBundleSpec("K", (theta, real_line((0, 0), (0,)), theta))
+
+
+def test_building_a_bundle_hashes_no_fraction(monkeypatch):
+    """Summands are deduped by identity, so no Fraction angle is hashed."""
+    hashes = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashes.append(self)
+        return fraction_hash(self)
+
+    lam = line_with_w1("T2", (1, 1))
+    rot = LineRep("complex", (F(1, 3), F(2, 5)))
+    twin = LineRep("complex", (F(1, 3), F(2, 5)))  # equal to rot, not the same object
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    bundle = FlatBundleSpec("T2", (lam, rot, lam, twin, rot) * 8)
+    assert hashes == []
+    assert bundle.rank == 8 * (1 + 2 + 1 + 2 + 2)

@@ -9,17 +9,19 @@ import pytest
 from conftest import (
     SEED,
     gcd_minor_divisors,
+    matmul_oracle,
     order_oracle,
     power_sum_oracle,
     random_cyclotomic_lattice,
     random_finite_order_matrix,
     random_matrix,
     random_unimodular,
+    snf_inplace_oracle,
     trial_division_is_prime,
 )
 from cflat.errors import DomainError
-from cflat.zlinalg import matrix
-from cflat.zlinalg.matrix import _charpoly
+from cflat.zlinalg import backend, matrix
+from cflat.zlinalg.matrix import _charpoly, _cyclotomic
 from cflat.zlinalg.snf import _is_prime, _smith_diagonal
 from cflat.zlinalg import (
     AbelianGroup,
@@ -237,6 +239,17 @@ def test_charpoly_matches_sympy():
     assert _charpoly(IntMatrix.zeros(0, 0)) == [1]
 
 
+def test_cyclotomic_matches_sympy():
+    """Phi_m against sympy for m <= 300; each is tabulated once, as a tuple."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for m in range(1, 301):
+        coeffs = sympy.Poly(sympy.cyclotomic_poly(m, x), x).all_coeffs()
+        phi = _cyclotomic(m)
+        assert phi == tuple(int(c) for c in reversed(coeffs)), m
+        assert _cyclotomic(m) is phi
+
+
 def test_charpoly_moduli_are_mersenne_primes(monkeypatch):
     """Lucas-Lehmer on every exponent in the table; past the table's
     last rank the characteristic polynomial is refused."""
@@ -267,6 +280,124 @@ def test_is_prime_matches_trial_division():
 
 def test_known_backend():
     assert KERNEL_BACKEND == "python"
+
+
+def _product_cases(rng):
+    """Seeded factor pairs: empty and 1x1 shapes, powers of finite-order
+    lattices, and dense and rectangular matrices up to 20x20."""
+    cases = [
+        (IntMatrix.zeros(0, 3), random_matrix(rng, 3, 4, 5)),
+        (random_matrix(rng, 4, 3, 5), IntMatrix.zeros(3, 0)),
+        (IntMatrix.zeros(0, 2), IntMatrix.zeros(2, 0)),
+        (IntMatrix([[0]]), IntMatrix([[7]])),
+        (IntMatrix([[-3]]), IntMatrix([[5]])),
+    ]
+    for _ in range(12):
+        g, k = random_cyclotomic_lattice(rng, max_rank=16)
+        cases.append((g.pow(rng.randint(1, k)), g.pow(rng.randint(0, k))))
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(1, 20) for _ in range(3))
+        a = random_matrix(rng, rows, inner, rng.choice((1, 9, 10**6)))
+        b = random_matrix(rng, inner, cols, rng.choice((1, 9, 10**6)))
+        cases.append((a, b))
+    return cases
+
+
+def test_sparse_product_matches_the_dense_oracle():
+    """Every product equals the dense kernel's entry for entry, and leaves
+    both operands as they were, also when one matrix is the right factor
+    of many products."""
+    rng = random.Random(SEED + 12)
+    for a, b in _product_cases(rng):
+        before = (a.to_lists(), b.to_lists())
+        got = a * b
+        assert (got.rows, got.cols) == (a.rows, b.cols)
+        if b.rows:
+            assert got.to_lists() == matmul_oracle(a.to_lists(), b.to_lists()), (a, b)
+        else:
+            assert got.is_zero()
+        assert (a.to_lists(), b.to_lists()) == before
+        if a.rows and b.rows:
+            rows = a.to_lists()
+            sparse = backend.sparse_rows(b.to_lists())
+            assert backend.matmul(rows, sparse, b.cols) == got.to_lists()
+            assert rows == before[0]
+    for _ in range(10):
+        g, k = random_cyclotomic_lattice(rng, max_rank=12)
+        power, dense = g, g.to_lists()
+        for _ in range(k):
+            power = power * g
+            dense = matmul_oracle(dense, g.to_lists())
+            assert power.to_lists() == dense
+        assert power == g
+
+
+def _smith_cases(rng):
+    """Seeded matrices: empty, 1x1, singular, rectangular, without unit
+    entries, and dense up to 20x20."""
+    cases = [
+        IntMatrix.zeros(0, 3),
+        IntMatrix.zeros(3, 0),
+        IntMatrix.zeros(2, 2),
+        IntMatrix([[5]]),
+        IntMatrix([[-1]]),
+        IntMatrix([[2, 0], [0, 3]]),
+        IntMatrix([[4, 6, 0], [6, 9, 3]]),
+    ]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        m = random_matrix(rng, rows, cols, rng.choice((1, 3, 40)))
+        if rng.random() < 0.3:
+            m = m.scale(rng.choice((2, 6)))  # no unit entry
+        if rows > 1 and rng.random() < 0.3:
+            lists = m.to_lists()
+            lists[-1] = [3 * x for x in lists[0]]  # singular
+            m = IntMatrix(lists)
+        cases.append(m)
+    for n in (12, 16, 20):
+        cases.append(random_matrix(rng, n, n, 9))
+        cases.append(random_matrix(rng, n - 3, n, 9))
+    return cases
+
+
+def test_smith_kernel_matches_the_dense_oracle():
+    """Witnessed Smith forms equal the oracle's d, u and v entry for entry,
+    and the unwitnessed reduction its d."""
+    rng = random.Random(SEED + 13)
+    for m in _smith_cases(rng):
+        d, u, v = m.to_lists(), IntMatrix.identity(m.rows).to_lists(), IntMatrix.identity(m.cols).to_lists()
+        snf_inplace_oracle(d, u, v)
+        dec = smith_normal_form(m)
+        assert (dec.d.to_lists(), dec.u.to_lists(), dec.v.to_lists()) == (d, u, v), m
+        bare = m.to_lists()
+        backend.snf_inplace(bare, None, None)
+        assert bare == d
+
+
+def test_benchmark_kernel_hooks_stay_in_place(monkeypatch):
+    """The benchmark's tracer wraps the four kernels by these names and
+    reads the left factor (or the matrix reduced) as the first argument;
+    IntMatrix and the Smith form call them through the module attribute,
+    so a wrapper patched onto the module sees every call."""
+    names = ("snf_inplace", "rank_mod_inplace", "det_inplace", "matmul")
+    assert all(callable(getattr(backend, name)) for name in names)
+    seen = []
+    for name in names:
+        kernel = getattr(backend, name)
+
+        def counting(*args, name=name, kernel=kernel):
+            seen.append((name, len(args[0])))
+            return kernel(*args)
+
+        monkeypatch.setattr(backend, name, counting)
+    a, b = IntMatrix([[1, 2, 0]]), IntMatrix([[1, 0], [0, 1], [5, 5]])
+    a * b
+    assert seen == [("matmul", 1)]
+    smith_normal_form(b)
+    cokernel(b)
+    IntMatrix([[2, 1], [1, 1]]).det()
+    rank_mod(b, 3)
+    assert seen[1:] == [("snf_inplace", 3), ("snf_inplace", 3), ("det_inplace", 2), ("rank_mod_inplace", 3)]
 
 
 # ----------------------------------------------------------------------
