@@ -25,15 +25,18 @@ affine word is multiplied out.
 Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
 ``orbit`` of ``cflat.orbit``.
+
+A spec sorts its generators once, when it is built, and the code below
+reads its screws and translation vectors instead of testing them again.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalCheckError
@@ -118,24 +121,35 @@ class BieberbachGroupSpec:
     The listed generators together with the lattice basis generate the
     group; torsion-freeness (and the lattice being exactly Z^dim) is
     catalog data the algorithms trust rather than verify.
+
+    The generators are sorted once: ``_screws`` keeps the screws, and
+    ``_translations`` each generator's integer vector (None for a screw).
     """
 
     name: str
     dim: int
     gens: tuple[AffineMap, ...]
+    _screws: tuple[AffineMap, ...] = field(init=False, compare=False, repr=False)
+    _translations: tuple[tuple[int, ...] | None, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        screws, translations = [], []
         for g in self.gens:
             if g.dim != self.dim:
                 raise DomainError(f"generator dimension {g.dim} != {self.dim}")
             if g.is_translation():
-                g.integral_translation()  # raises if fractional
+                translations.append(g.integral_translation())  # raises if fractional
             elif abs(g.linear.det()) != 1:
                 raise DomainError("generator linear part is not unimodular")
+            else:
+                screws.append(g)
+                translations.append(None)
+        object.__setattr__(self, "_screws", tuple(screws))
+        object.__setattr__(self, "_translations", tuple(translations))
 
     def screw_gens(self) -> tuple[AffineMap, ...]:
         """The listed generators with nontrivial linear part."""
-        return tuple(g for g in self.gens if not g.is_translation())
+        return self._screws
 
     @cached_property
     def _holonomy(self) -> tuple[IntMatrix, ...]:
@@ -250,19 +264,10 @@ class AbelianizationData:
         """
         if len(gen_values) != self.n_presentation_gens:
             raise DomainError("functional length mismatch")
-        rel = self.relation_matrix
-        for j in range(rel.cols):
-            tot = sum(gen_values[i] * rel[i, j] for i in range(rel.rows))
-            if tot % modulus:
-                raise InternalCheckError(
-                    "functional does not vanish on the relation lattice"
-                )
-        # value on the i-th invariant basis vector = row . u_inv e_i
-        row = [
-            sum(gen_values[i] * self.u_inv[i, j] for i in range(self.u_inv.rows))
-            % modulus
-            for j in range(self.u_inv.cols)
-        ]
+        if any(v % modulus for v in self.relation_matrix.transpose().apply_vector(gen_values)):
+            raise InternalCheckError("functional does not vanish on the relation lattice")
+        # value on the i-th invariant basis vector = gen_values . u_inv e_i
+        row = [v % modulus for v in self.u_inv.transpose().apply_vector(gen_values)]
         free = tuple(row[i] for i in self.free_positions)
         tors = tuple(row[i] for i in self.torsion_positions)
         return free, tors
@@ -277,6 +282,7 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     four-group holonomy).  With one screw (L, t) the other generators
     are translations, so the holonomy is <L> and the relator is
     (1, N t) with N the sum of the holonomy group, L^0 + ... + L^(k-1).
+    Two distinct commuting involutions always generate a group of order 4.
     """
     screws = spec.screw_gens()
     s = len(screws)
@@ -290,13 +296,7 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     if s == 2:
         a, b = screws
         la, lb = a.linear, b.linear
-        if (
-            la.order(_HOLONOMY_BOUND) == 2
-            and lb.order(_HOLONOMY_BOUND) == 2
-            and la * lb == lb * la
-            and la != lb
-            and len(holonomy_group(spec)) == 4
-        ):
+        if la != lb and (la * la).is_identity() and (lb * lb).is_identity() and la * lb == lb * la:
             comm = a * b * a.inverse() * b.inverse()
             return [([2, 0], a * a), ([0, 2], b * b), ([0, 0], comm)]
         raise DomainError(
@@ -309,44 +309,33 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
 def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
     """First homology of the group, with projection witnesses.
 
-    Relation columns: the conjugation action of each screw generator on
-    the lattice basis, and each lifted holonomy relator expressed as
-    (minus its lattice value, its exponent vector).
+    Relation columns: the conjugation action L - 1 of each screw generator
+    on the lattice basis, and each lifted holonomy relator expressed as
+    (minus its lattice value, its exponent vector).  Built by rows.
     """
     n = spec.dim
     screws = spec.screw_gens()
     s = len(screws)
     total = n + s
-    columns: list[list[int]] = []
-    ident = IntMatrix.identity(n)
-    for g in screws:
-        conj = g.linear - ident
-        for i in range(n):
-            col = [conj[row, i] for row in range(n)] + [0] * s
-            columns.append(col)
+    relators = []
     for exps, word in _holonomy_relators(spec):
         if not word.is_translation():
             raise InternalCheckError("holonomy relator lift is not a translation")
-        w = word.integral_translation()
-        col = [-e for e in w] + list(exps)
-        columns.append(col)
-    rel = IntMatrix.from_columns(columns, rows=total)
+        relators.append((word.integral_translation(), exps))
+    ident = IntMatrix.identity(n)
+    conj = [g.linear - ident for g in screws]
+    rows = [sum((c.row(r) for c in conj), ()) + tuple(-w[r] for w, _ in relators) for r in range(n)]
+    rows += [(0,) * (n * s) + tuple(exps[j] for _, exps in relators) for j in range(s)]
+    rel = IntMatrix._of(rows, n * s + len(relators))
     dec = smith_normal_form(rel)
     diag = dec.diagonal
     full = list(diag) + [0] * (total - len(diag))
     free_pos = tuple(i for i, d in enumerate(full) if d == 0)
     tors_pos = tuple(i for i, d in enumerate(full) if d >= 2)
     group = AbelianGroup(len(free_pos), tuple(full[i] for i in tors_pos))
-    gen_words = []
-    screw_index = 0
-    for g in spec.gens:
-        if g.is_translation():
-            vec = list(g.integral_translation()) + [0] * s
-        else:
-            vec = [0] * total
-            vec[n + screw_index] = 1
-            screw_index += 1
-        gen_words.append(tuple(vec))
+    # a translation's word is its vector; the i-th screw's is e_(n+i)
+    screw_words = map(IntMatrix.identity(total).row, range(n, total))
+    gen_words = [next(screw_words) if vec is None else vec + (0,) * s for vec in spec._translations]
     return AbelianizationData(
         spec=spec,
         group=group,
@@ -373,7 +362,8 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     Built from rows that were already checked: the unit translations
     share two ``Fraction`` constants, and the screw's linear part wraps
     the rows of ``lat.g0`` unchecked.  The spec still checks the screw's
-    determinant, the only check of g0 on a ``GLattice`` built by hand.
+    determinant, the only check of g0 on a ``GLattice`` built by hand,
+    and an order past the holonomy bound is refused.
     """
     n = lat.rank
     k = lat.order
@@ -381,6 +371,8 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     g0 = lat.g0
     if g0.rows != n or g0.cols != n:
         raise DomainError(f"lattice of rank {n} with a {g0.rows}x{g0.cols} automorphism")
+    if k > _HOLONOMY_BOUND:
+        raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
     gens = [translation_map(dim, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i)) for i in range(n)]
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
@@ -451,12 +443,10 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     b = ab.group.free_rank
     if b == 0:
         raise InternalCheckError("cyclic holonomy with no free homology")
-    row = IntMatrix([list(free_vals)])
+    row = IntMatrix._of([free_vals], b)
     dec = smith_normal_form(row)
     d = dec.d[0, 0]
     sign = dec.u[0, 0]
-    from math import gcd
-
     if gcd(sign * d, k) != 1:
         raise InternalCheckError(
             "holonomy character is not surjective on free homology"

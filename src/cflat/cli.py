@@ -182,13 +182,9 @@ def _cmd_affine_eq(args) -> dict:
 def _cmd_moduli(args) -> dict:
     angles = serialize.parse_angles(args.angles)
     if args.space == "T2xR2":
-        if len(angles) != 2:
-            raise DomainError("T2xR2 takes two angles")
-        canon = torus_moduli_canonical((angles[0], angles[1]))
+        canon = torus_moduli_canonical(angles)
     elif args.space == "TK":
-        if len(angles) != 2:
-            raise DomainError("TK takes two angles")
-        canon = klein_rho_canonical((angles[0], angles[1]))
+        canon = klein_rho_canonical(angles)
     else:
         if len(angles) != 1:
             raise DomainError("S1xR3 takes one angle")

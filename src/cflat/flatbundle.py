@@ -11,6 +11,10 @@ first Chern classes of complex line bundles (valued in Hom of the
 torsion subgroup into Z/holonomy-order), orientation characters,
 structure statements for bundles with cyclic total holonomy, and the
 mod-2 cup tables of the one- and two-dimensional bases.
+
+The public ``w1_of_line`` and ``c1_of_line`` check their input, as a
+``FlatBundleSpec`` checks its summands; ``_w1_bits`` and ``_c1`` trust
+the summands of a built bundle.
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ class FlatBundleSpec:
         return base_data(self.base).spec.dim + self.rank
 
 
-def line_with_w1(base: str, bits: Mod2Class, kind: str = "real") -> LineRep:
+def line_with_w1(base: str, bits: Mod2Class) -> LineRep:
     """The real character whose degree-one class has the given bits."""
     data = base_data(base)
     if len(bits) != len(data.mod2_sources):
@@ -211,7 +215,7 @@ def line_with_w1(base: str, bits: Mod2Class, kind: str = "real") -> LineRep:
                 free[idx] = _HALF
             else:
                 tors[idx] = _HALF
-    return LineRep(kind, tuple(free), tuple(tors))
+    return LineRep("real", tuple(free), tuple(tors))
 
 
 def evaluate_on_generator(base: str, rep: LineRep, gen_index: int) -> Fraction:
@@ -283,6 +287,11 @@ def c1_of_line(base: str, rep: LineRep) -> C1Class:
     if rep.kind != "complex":
         raise DomainError("c1_of_line takes a complex character")
     validate_line(base, rep)
+    return _c1(base, rep)
+
+
+def _c1(base: str, rep: LineRep) -> C1Class:
+    """c1 of a complex character already validated against the base."""
     data = base_data(base)
     k = len(data.holonomy)
     values = []
@@ -303,7 +312,7 @@ def orientation_character(bundle: FlatBundleSpec) -> Mod2Class:
     bits = mod2_zero(bundle.base)
     for rep in bundle.summands:
         if rep.kind == "real":
-            bits = mod2_add(bits, w1_of_line(bundle.base, rep))
+            bits = mod2_add(bits, _w1_bits(bundle.base, rep))
     return bits
 
 
@@ -445,7 +454,7 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
             bits = _w1_bits(base, rep)
             w2 += table.cup(w1, bits)
             w1 = mod2_add(w1, bits)
-    c1s = tuple(c1_of_line(base, rep) for rep in bundle.summands if rep.kind == "complex")
+    c1s = tuple(_c1(base, rep) for rep in bundle.summands if rep.kind == "complex")
     if dim == 1:
         return CharClassVector(base=base, w1=w1, w2=None, c1=c1s)
     for c in c1s:

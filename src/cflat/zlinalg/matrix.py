@@ -4,9 +4,9 @@
 operations are exact; nothing here ever touches floating point.
 
 Entries are checked once, where a matrix enters the program: the public
-constructor and ``from_columns``.  Matrices computed from matrices that
-already passed (products, sums, transposes, Smith transforms) are built
-with the unchecked ``IntMatrix._of``.
+constructor and ``from_columns``, its checked form by columns.  Internal
+results (products, sums, transposes, Smith transforms and what is derived
+from them) are built with the unchecked ``IntMatrix._of``.
 """
 
 from __future__ import annotations
@@ -346,17 +346,12 @@ def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
 
     Phi_m has degree phi(m) >= sqrt(m / 2), so no m past 2 deg^2 divides.
     """
-    top = min(bound, 2 * (len(chi) - 1) ** 2)
-    totient = list(range(top + 1))
-    for q in range(2, top + 1):
-        if totient[q] == q:  # q is prime
-            for r in range(q, top + 1, q):
-                totient[r] -= totient[r] // q
+    n = len(chi) - 1
     k = 1
-    for m in range(1, top + 1):
+    for m, deg in _cyclotomic_candidates(n, min(bound, 2 * n * n)):
         if len(chi) == 1:
             break
-        if totient[m] >= len(chi):
+        if deg >= len(chi):
             continue
         phi_m = _cyclotomic(m)
         quot = _divide_monic(chi, phi_m)
@@ -368,6 +363,18 @@ def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
         while quot is not None:
             chi, quot = quot, _divide_monic(quot, phi_m)
     return k if len(chi) == 1 and k <= bound else None
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_candidates(n: int, top: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (m, phi(m)) with m <= top and phi(m) <= n, m ascending:
+    one totient sieve per (n, top), on first use."""
+    totient = list(range(top + 1))
+    for q in range(2, top + 1):
+        if totient[q] == q:  # q is prime
+            for r in range(q, top + 1, q):
+                totient[r] -= totient[r] // q
+    return tuple((m, totient[m]) for m in range(1, top + 1) if totient[m] <= n)
 
 
 @lru_cache(maxsize=None)

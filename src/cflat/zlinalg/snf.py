@@ -118,8 +118,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     dec = smith_normal_form(m)
     diag = dec.diagonal
     free_cols = [j for j in range(m.cols) if j >= len(diag) or diag[j] == 0]
-    columns = [dec.v.column(j) for j in free_cols]
-    return IntMatrix.from_columns(columns, rows=m.cols)
+    return IntMatrix._of([[dec.v[i, j] for j in free_cols] for i in range(m.cols)], len(free_cols))
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -197,9 +196,8 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     dec = smith_normal_form(a)
     diag = dec.diagonal
     ub = dec.u * b
-    cols_x = []
+    z = [[0] * b.cols for _ in range(a.cols)]
     for jb in range(b.cols):
-        z = [0] * a.cols
         for i in range(a.rows):
             rhs = ub[i, jb]
             d = diag[i] if i < len(diag) else 0
@@ -210,10 +208,8 @@ def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                 if rhs % d:
                     raise DomainError("system has no integral solution")
                 if i < a.cols:
-                    z[i] = rhs // d
-        cols_x.append(z)
-    zmat = IntMatrix.from_columns(cols_x, rows=a.cols)
-    return dec.v * zmat
+                    z[i][jb] = rhs // d
+    return dec.v * IntMatrix._of(z, b.cols)
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:

@@ -12,7 +12,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from cflat.bieberbach import AffineMap, BieberbachGroupSpec, translation_map
+from cflat.bieberbach import AffineMap, BieberbachGroupSpec, _holonomy_relators, translation_map
 from cflat.classify import _line_classes
 from cflat.flatbundle import (
     FlatBundleSpec,
@@ -615,3 +615,49 @@ def mapping_torus_oracle(lat) -> BieberbachGroupSpec:
         tuple(Fraction(0) if i < n else Fraction(1, k) for i in range(dim)),
     )
     return BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
+
+
+# The relation matrix assembled column by column through the checked
+# constructor, the generator words read off each generator's translation
+# test, and the functional on the invariant basis as explicit sums: the
+# oracles for cflat.bieberbach.abelianization, which builds the matrix from
+# whole rows of L - 1 and reads the words off the sorted generators, and
+# for AbelianizationData.functional_on_basis, which takes two products
+# with transposes.
+
+
+def relation_matrix_oracle(spec: BieberbachGroupSpec) -> tuple[IntMatrix, tuple]:
+    """(relation matrix, generator words) of a spec."""
+    n = spec.dim
+    screws = [g for g in spec.gens if not g.is_translation()]
+    s = len(screws)
+    columns = []
+    for g in screws:
+        conj = g.linear - IntMatrix.identity(n)
+        for i in range(n):
+            columns.append([conj[row, i] for row in range(n)] + [0] * s)
+    for exps, word in _holonomy_relators(spec):
+        columns.append([-e for e in word.integral_translation()] + list(exps))
+    rel = IntMatrix.from_columns(columns, rows=n + s)
+    words, screw_index = [], 0
+    for g in spec.gens:
+        if g.is_translation():
+            vec = list(g.integral_translation()) + [0] * s
+        else:
+            vec = [0] * (n + s)
+            vec[n + screw_index] = 1
+            screw_index += 1
+        words.append(tuple(vec))
+    return rel, tuple(words)
+
+
+def functional_on_basis_oracle(ab, gen_values, modulus: int) -> tuple | None:
+    """Values on (free basis, torsion basis), or None when the functional
+    does not vanish on the relation lattice mod ``modulus``."""
+    rel = ab.relation_matrix
+    for j in range(rel.cols):
+        if sum(gen_values[i] * rel[i, j] for i in range(rel.rows)) % modulus:
+            return None
+    u_inv = ab.u_inv
+    row = [sum(gen_values[i] * u_inv[i, j] for i in range(u_inv.rows)) % modulus for j in range(u_inv.cols)]
+    return tuple(row[i] for i in ab.free_positions), tuple(row[i] for i in ab.torsion_positions)

@@ -3,17 +3,23 @@ and the classically known values, plus the splitting machinery."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import (
     SEED,
+    _block_diag,
+    _companion,
+    _CYCLOTOMIC,
     cyclic_relator_oracle,
+    functional_on_basis_oracle,
     mapping_torus_oracle,
     orbit,
     random_cyclotomic_lattice,
     random_finite_order_matrix,
     random_matrix,
+    relation_matrix_oracle,
 )
 from cflat import bieberbach
 from cflat.bieberbach import (
@@ -35,7 +41,7 @@ from cflat.bieberbach import (
     translation_map,
 )
 from cflat.errors import DomainError, InternalCheckError
-from cflat.glattice import GLattice, coinvariants, h1_oracle, make_glattice
+from cflat.glattice import GLattice, coinvariants, h1_oracle, h1_report, make_glattice
 from cflat.zlinalg import AbelianGroup, IntMatrix, cokernel
 
 # name -> (first homology, holonomy order, holonomy cyclic)
@@ -410,3 +416,113 @@ def test_holonomy_walk_past_its_bound_raises(monkeypatch):
     fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.gens)  # nothing walked yet
     with pytest.raises(DomainError, match="^holonomy closure exceeded bound 3$"):
         holonomy_group(fresh)
+
+
+def test_mapping_torus_past_the_holonomy_bound_is_refused():
+    """Phi_5 + Phi_7 + Phi_8 + Phi_9 has rank 20 and order 2520: a lattice
+    within the lattice bound, whose mapping torus is past the holonomy
+    bound and is refused with both numbers."""
+    lat = make_glattice(_block_diag([_companion(_CYCLOTOMIC[m]) for m in (5, 7, 8, 9)]))
+    assert (lat.rank, lat.order) == (20, 2520)
+    assert h1_report(lat).group == AbelianGroup(0, (210,))
+    for route in (mapping_torus, tors_h1_two_ways):
+        with pytest.raises(DomainError, match="^order 2520 exceeds the holonomy bound 1000 of a mapping torus$"):
+            route(lat)
+
+
+def test_abelianization_matches_the_column_construction():
+    """Relation matrices and generator words equal the ones assembled by
+    columns through the checked constructor, and functionals on the
+    invariant basis equal the explicit sums: on every catalog group and
+    on 50 mapping tori, for functionals that vanish on the relations
+    (c u with c_i d_i = 0 mod m) and for random ones, which mostly do not."""
+    rng = random.Random(SEED + 39)
+    specs = [catalog_group(name) for name in CATALOG_NAMES]
+    specs += [mapping_torus(make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0])) for _ in range(50)]
+    for spec in specs:
+        ab = abelianization(spec)
+        assert (ab.relation_matrix, ab.gen_words) == relation_matrix_oracle(spec), spec.name
+        total = ab.n_presentation_gens
+        diag = ab.dec.diagonal + (0,) * total
+        for modulus in (2, 3, 4, len(holonomy_group(spec)) + 1):
+            c = [rng.randint(-5, 5) * (modulus // gcd(diag[i], modulus)) for i in range(total)]
+            vanishing = [sum(c[i] * ab.dec.u[i, j] for i in range(total)) for j in range(total)]
+            want = functional_on_basis_oracle(ab, vanishing, modulus)
+            assert want is not None
+            assert ab.functional_on_basis(vanishing, modulus) == want, spec.name
+            values = [rng.randint(-6, 6) for _ in range(total)]
+            want = functional_on_basis_oracle(ab, values, modulus)
+            if want is None:
+                with pytest.raises(InternalCheckError, match="does not vanish on the relation lattice"):
+                    ab.functional_on_basis(values, modulus)
+            else:
+                assert ab.functional_on_basis(values, modulus) == want, spec.name
+
+
+def test_a_built_spec_tests_only_relator_words(monkeypatch):
+    """A spec sorts its generators when it is built: screw_gens and
+    abelianization then call is_translation and integral_translation on
+    the lifted relator words only, once each.  Neither they nor the
+    cyclic splitting build an IntMatrix through the checked constructor."""
+    rng = random.Random(SEED + 40)
+    specs = [catalog_group(name) for name in CATALOG_NAMES]
+    specs += [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=5))) for _ in range(20)]
+    tested, inits = [], []
+
+    def recording(name):
+        method = getattr(AffineMap, name)
+
+        def wrapper(self):
+            tested.append((name, self))
+            return method(self)
+
+        return wrapper
+
+    for name in ("is_translation", "integral_translation"):
+        monkeypatch.setattr(AffineMap, name, recording(name))
+    init = IntMatrix.__init__
+
+    def counting_init(self, entries):
+        inits.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    for spec in specs:
+        tested.clear()
+        screws = spec.screw_gens()
+        ab = abelianization(spec)
+        relators = ab.relation_matrix.cols - spec.dim * len(screws)
+        assert [name for name, _ in tested] == ["is_translation", "integral_translation"] * relators
+        assert not any(word is g for _, word in tested for g in spec.gens), spec.name
+        if is_holonomy_cyclic(spec) and ab.group.free_rank:
+            cyclic_splitting(spec)
+    assert inits == []
+
+
+def test_klein_four_relators_take_no_matrix_order(monkeypatch):
+    """The Klein four-group branch tests each linear part as an involution
+    by one product: no matrix order, no holonomy walk."""
+    calls = []
+    monkeypatch.setattr(IntMatrix, "order", lambda self, bound: calls.append("order"))
+    monkeypatch.setattr(bieberbach, "holonomy_group", lambda spec: calls.append("holonomy"))
+    for name in ("G6", "B3", "B4"):
+        g = catalog_group(name)
+        assert abelianization(BieberbachGroupSpec(g.name, g.dim, g.gens)).group == KNOWN[name][0]
+    assert calls == []
+
+
+def test_two_screws_that_are_not_commuting_involutions_are_refused():
+    """Non-commuting involutions, equal ones, an involution with a
+    rotation of order 4, and a shear of infinite order."""
+    swap = IntMatrix([[0, 1], [1, 0]])
+    flip = IntMatrix([[-1, 0], [0, 1]])
+    rot4 = IntMatrix([[0, -1], [1, 0]])
+    shear = IntMatrix([[1, 1], [0, 1]])
+    half = (Fraction(0), Fraction(1, 2))
+    lattice = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
+    for la, lb in ((swap, flip), (flip, flip), (flip, rot4), (shear, flip)):
+        spec = BieberbachGroupSpec("X", 2, lattice + (AffineMap(la, half), AffineMap(lb, half)))
+        with pytest.raises(
+            DomainError, match="^unsupported holonomy: two screw generators that are not commuting involutions$"
+        ):
+            abelianization(spec)

@@ -147,6 +147,20 @@ def test_moduli_verb(capsys):
     assert json.loads(out)["canonical"] == ["1/2", "0"]
 
 
+def test_moduli_angle_count_errors_exit_one(capsys):
+    """A wrong angle count exits 1 with one error line and no stdout; the
+    torus and Klein counts are checked by the canonical forms themselves."""
+    for space, angles, message in (
+        ("T2xR2", "1/2,1/3,1/4", "expected 2 angles, got 3"),
+        ("T2xR2", "1/2", "expected 2 angles, got 1"),
+        ("TK", "1/2,1/3,1/4", "expected 2 angles, got 3"),
+        ("TK", "0", "expected 2 angles, got 1"),
+        ("S1xR3", "1/2,1/3", "S1xR3 takes one angle"),
+    ):
+        code, out, err = run_cli(capsys, "moduli", "--space", space, "--angles", angles)
+        assert (code, out, err) == (1, "", f"error: {message}\n"), space
+
+
 def test_dim4_and_bound_and_family(capsys):
     code, out, _ = run_cli(capsys, "dim4-table")
     assert code == 0
@@ -314,16 +328,17 @@ def test_module_entry_point():
 
 def test_cli_import_builds_no_base_tables():
     """Importing the CLI computes nothing per base: the base data, cup
-    tables, automorphism tables and the table of cyclotomic polynomials
-    are built on first use, since every CLI call pays the import."""
+    tables, automorphism tables, the table of cyclotomic polynomials and
+    the totient tables are built on first use, since every CLI call pays
+    the import."""
     import cflat
 
     script = (
         "import cflat.cli\n"
         "from cflat.classify import aut_action\n"
         "from cflat.flatbundle import base_data, cup_table\n"
-        "from cflat.zlinalg.matrix import _cyclotomic\n"
-        "tables = (base_data, cup_table, aut_action, _cyclotomic)\n"
+        "from cflat.zlinalg.matrix import _cyclotomic, _cyclotomic_candidates\n"
+        "tables = (base_data, cup_table, aut_action, _cyclotomic, _cyclotomic_candidates)\n"
         "print([f.cache_info().currsize for f in tables])\n"
     )
     src = str(Path(cflat.__file__).resolve().parent.parent)
@@ -334,7 +349,7 @@ def test_cli_import_builds_no_base_tables():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0, 0]"
+    assert proc.stdout.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_readme_commands_run_clean(capsys):

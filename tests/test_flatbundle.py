@@ -378,9 +378,9 @@ def test_total_holonomy_walk_past_its_bound_raises(monkeypatch):
 
 
 def test_each_distinct_summand_is_validated_once(monkeypatch):
-    """A bundle validates each distinct summand once, and sw_vector reads
-    the first classes of its validated real summands without checking
-    them again."""
+    """A bundle validates each distinct summand once; sw_vector and
+    orientation_character read the classes of its real and complex
+    summands without checking them again."""
     checked = []
 
     def counting_validate_line(base, rep):
@@ -389,10 +389,13 @@ def test_each_distinct_summand_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(flatbundle, "validate_line", counting_validate_line)
     lam2, theta = line_with_w1("K", (0, 1)), line_with_w1("K", (0, 0))
-    bundle = FlatBundleSpec("K", (lam2, theta, lam2, theta, lam2))
-    assert checked == [lam2, theta]
+    rot = LineRep("complex", (F(1, 3),), (F(1, 2),))
+    bundle = FlatBundleSpec("K", (lam2, theta, rot, lam2, theta, rot, lam2))
+    assert checked == [lam2, theta, rot]
     checked.clear()
-    assert sw_vector(bundle).w1 == (0, 1)
+    vec = sw_vector(bundle)
+    assert (vec.w1, vec.w2, vec.c1) == ((0, 1), 0, (C1Class((1,), 2),) * 2)
+    assert orientation_character(bundle) == (0, 1)
     assert checked == []
     with pytest.raises(DomainError, match="K has 1 free generators, got 2 angles"):
         FlatBundleSpec("K", (theta, real_line((0, 0), (0,)), theta))

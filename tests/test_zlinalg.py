@@ -175,6 +175,19 @@ def test_order_matches_successive_powers_on_finite_order_lattices():
                 m.order(k - 1)
 
 
+def test_order_builds_its_totient_table_once_per_rank():
+    """Repeated order calls at one rank and bound sieve the totients once;
+    each further call reads the kept table."""
+    matrix._cyclotomic_candidates.cache_clear()
+    rng = random.Random(SEED + 11)
+    lattices = [random_cyclotomic_lattice(rng, max_rank=6) for _ in range(40)]
+    for m, k in lattices:
+        assert m.order(1000) == k
+    ranks = {m.rows for m, _ in lattices}
+    info = matrix._cyclotomic_candidates.cache_info()
+    assert (info.misses, info.hits) == (len(ranks), len(lattices) - len(ranks))
+
+
 def test_order_refuses_infinite_order():
     """Unipotent blocks (cyclotomic characteristic polynomial, not
     semisimple) and small random matrices agree with the successive
@@ -548,6 +561,34 @@ def test_kernel_basis():
         assert basis.cols == cols - dec.rank
         for j in range(basis.cols):
             assert mm.apply_vector(basis.column(j)) == (0,) * rows
+
+
+def test_kernel_bases_and_solutions_are_built_unchecked(monkeypatch):
+    """kernel_basis and solve_columns wrap the rows they compute from a
+    Smith form without the checked constructor; the kernel basis is the
+    free columns of v, as the checked construction by columns gives it."""
+    rng = random.Random(SEED + 10)
+    cases = []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols, 6)
+        dec = smith_normal_form(a)
+        free = [j for j in range(cols) if j >= len(dec.diagonal) or dec.diagonal[j] == 0]
+        basis = IntMatrix.from_columns([dec.v.column(j) for j in free], rows=cols)
+        cases.append((a, basis, a * random_matrix(rng, cols, rng.randint(1, 3), 6)))
+    inits = []
+    init = IntMatrix.__init__
+
+    def counting_init(self, entries):
+        inits.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    for a, basis, b in cases:
+        assert kernel_basis(a) == basis
+        x = solve_columns(a, b)
+        assert (x.rows, x.cols) == (a.cols, b.cols) and a * x == b
+    assert inits == []
 
 
 # ----------------------------------------------------------------------
