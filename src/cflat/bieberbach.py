@@ -18,9 +18,12 @@ homology is the cokernel of the resulting relation matrix.
 For one screw alpha = (L, t) with L of order k, the cyclic relator
 alpha^k is the translation N t, where N = sum of h over the holonomy
 group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
-1986).  Both k (``IntMatrix.order``) and N (``IntMatrix.power_sum``)
-take O(log k) matrix products; neither the holonomy walk nor a k-fold
-affine word is multiplied out.
+1986).  For a catalog screw, k (``IntMatrix.order``) and N
+(``IntMatrix.power_sum``) take O(log k) matrix products; neither the
+holonomy walk nor a k-fold affine word is multiplied out.  A mapping
+torus needs neither: L = g0 (+) 1 fixes t = e_(n+1) / k, so N t = k t is
+the unit translation e_(n+1), and the spec carries that relator in
+closed form.
 
 Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
@@ -124,6 +127,8 @@ class BieberbachGroupSpec:
 
     The generators are sorted once: ``_screws`` keeps the screws, and
     ``_translations`` each generator's integer vector (None for a screw).
+    ``_cyclic_relator`` is (k, alpha^k) for the one screw alpha of a
+    mapping torus, set by ``mapping_torus``; None for every other spec.
     """
 
     name: str
@@ -131,6 +136,7 @@ class BieberbachGroupSpec:
     gens: tuple[AffineMap, ...]
     _screws: tuple[AffineMap, ...] = field(init=False, compare=False, repr=False)
     _translations: tuple[tuple[int, ...] | None, ...] = field(init=False, compare=False, repr=False)
+    _cyclic_relator: tuple[int, AffineMap] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         screws, translations = [], []
@@ -281,9 +287,13 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     one (cyclic holonomy), or two commuting involutions (Klein
     four-group holonomy).  With one screw (L, t) the other generators
     are translations, so the holonomy is <L> and the relator is
-    (1, N t) with N the sum of the holonomy group, L^0 + ... + L^(k-1).
-    Two distinct commuting involutions always generate a group of order 4.
+    (1, N t) with N the sum of the holonomy group, L^0 + ... + L^(k-1);
+    a mapping torus lists it in closed form.  Two distinct commuting
+    involutions always generate a group of order 4.
     """
+    if spec._cyclic_relator is not None:
+        k, word = spec._cyclic_relator
+        return [([k], word)]
     screws = spec.screw_gens()
     s = len(screws)
     if s == 0:
@@ -357,14 +367,18 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
 
     New coordinate last: the extra generator acts by the automorphism
     on the old block and translates the new coordinate by 1/order, so
-    its order-th power is the new lattice vector.
+    its order-th power is the new lattice vector; the spec lists that
+    relator, ([k], e_(n+1)), in closed form.
 
-    Built from rows that were already checked: the unit translations
-    share two ``Fraction`` constants, and the screw's linear part wraps
-    the rows of ``lat.g0`` unchecked.  The spec still checks the screw's
-    determinant, the only check of g0 on a ``GLattice`` built by hand,
-    and an order past the holonomy bound is refused.
+    Built once per lattice, from rows that were already checked, and
+    kept on the lattice.  A ``GLattice`` built by hand is still checked,
+    in this order: the shape of g0, the holonomy bound on the order, the
+    spec's determinant check of the screw, and ``lat.order`` against the
+    order of g0, which the closed-form relator needs (``make_glattice``
+    keeps that order on g0, so the check is free there).
     """
+    if lat._mapping_torus is not None:
+        return lat._mapping_torus
     n = lat.rank
     k = lat.order
     dim = n + 1
@@ -373,12 +387,18 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
         raise DomainError(f"lattice of rank {n} with a {g0.rows}x{g0.cols} automorphism")
     if k > _HOLONOMY_BOUND:
         raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
-    gens = [translation_map(dim, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i)) for i in range(n)]
+    unit = [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i) for i in range(dim)]
+    gens = [translation_map(dim, unit[i]) for i in range(n)]
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
-    return BieberbachGroupSpec(
-        name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,)
-    )
+    spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
+    order = g0.order(_HOLONOMY_BOUND)
+    if order != k:
+        raise DomainError(f"lattice order {k} is not the order {order} of its automorphism")
+    if k > 1:  # at k = 1 the extra generator is the translation e_(n+1)
+        object.__setattr__(spec, "_cyclic_relator", (k, translation_map(dim, unit[n])))
+    object.__setattr__(lat, "_mapping_torus", spec)
+    return spec
 
 
 def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
@@ -387,7 +407,8 @@ def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     Route one abelianizes the mapping-torus group; route two takes the
     torsion of the coinvariant lattice of the automorphism.  Both are
     returned so the agreement stays an observable fact rather than an
-    assumption.
+    assumption.  Route one reads the lattice's kept mapping torus, and
+    route two its kept Smith diagonal of g0 - 1.
     """
     ab = abelianization(mapping_torus(lat))
     _, tors_coinv = coinvariants(lat)

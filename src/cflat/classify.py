@@ -40,7 +40,6 @@ from .flatbundle import (
     line_with_w1,
     mod2_add,
     sw_vector,
-    total_holonomy,
 )
 from .glattice import _prime_divisors
 from .orbit import orbit
@@ -329,22 +328,6 @@ def stably_diffeomorphic(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
     return (action.orbit_min(v1.w1), v1.w2) == (action.orbit_min(v2.w1), v2.w2)
 
 
-def codim1_classes(base: str) -> list[tuple[Mod2Class, ...]]:
-    """Orbits of degree-one mod-2 classes (flat line bundles up to the
-    automorphism action), each orbit sorted, lex-least first."""
-    action = aut_action(base)
-    seen = set()
-    orbits = []
-    for bits in _line_classes(base):
-        if bits in seen:
-            continue
-        orb = action.orbit(bits)
-        seen.update(orb)
-        orbits.append(orb)
-    orbits.sort(key=lambda orb: orb[0])
-    return orbits
-
-
 # ======================================================================
 # affine equivalence of line-bundle sums
 # ======================================================================
@@ -555,8 +538,3 @@ def inequivalent_family(base: str, count: int) -> tuple[FlatBundleSpec, ...]:
         free[0] = Fraction(1, j + 2)
         out.append(FlatBundleSpec(base, (LineRep("complex", tuple(free)),)))
     return tuple(out)
-
-
-def holonomy_image_order(bundle: FlatBundleSpec) -> int:
-    """Order of the total-space holonomy image (an affine invariant)."""
-    return len(total_holonomy(bundle))

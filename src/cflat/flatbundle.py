@@ -218,13 +218,6 @@ def line_with_w1(base: str, bits: Mod2Class) -> LineRep:
     return LineRep("real", tuple(free), tuple(tors))
 
 
-def evaluate_on_generator(base: str, rep: LineRep, gen_index: int) -> Fraction:
-    """The character's angle on a listed group generator (mod 1)."""
-    data = base_data(base)
-    el = data.ab.gen_image(gen_index)
-    return _evaluate(rep, el)
-
-
 def _evaluate(rep: LineRep, el: H1Element) -> Fraction:
     total = Fraction(0)
     for angle, c in zip(rep.free, el.free):
@@ -278,11 +271,13 @@ class C1Class:
 def c1_of_line(base: str, rep: LineRep) -> C1Class:
     """First Chern class of a complex character.
 
-    The character restricted to the torsion subgroup must take values
-    in the holonomy-order roots of unity; a flat complex line bundle
-    over the base always does, so a violation is rejected as input
-    error.  The class is trivial exactly when the bundle is trivial,
-    and torsion-free H_1 forces triviality.
+    The character restricted to the torsion subgroup takes values in
+    the holonomy-order roots of unity: a validated line's torsion
+    angles have denominators dividing the torsion orders, and on every
+    catalog base each torsion order divides the holonomy order.  A
+    violation is an internal inconsistency, not an input error.  The
+    class is trivial exactly when the bundle is trivial, and
+    torsion-free H_1 forces triviality.
     """
     if rep.kind != "complex":
         raise DomainError("c1_of_line takes a complex character")
@@ -299,7 +294,7 @@ def _c1(base: str, rep: LineRep) -> C1Class:
         scaled = angle * k
         if scaled.denominator != 1:
             order = d // gcd(angle.numerator, d)
-            raise DomainError(
+            raise InternalCheckError(
                 f"character of order {order} on torsion does not divide "
                 f"the holonomy order {k}"
             )

@@ -15,8 +15,10 @@ It also produces the coinvariant lattice and a sufficient-condition
 certificate for vanishing of H^1.
 
 Every route works from the same g0 - 1 and the same fixed dimensions
-mod each prime: a lattice builds its difference matrix once and runs one
-``rank_mod`` per prime, however many routes ask.
+mod each prime: a lattice builds its difference matrix once, reduces it
+to its Smith diagonal once, and runs one ``rank_mod`` per prime, however
+many routes ask.  The counting formula and the coinvariants both read
+that one diagonal.
 """
 
 from __future__ import annotations
@@ -24,18 +26,20 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalCheckError
-from .zlinalg import (
-    AbelianGroup,
-    IntMatrix,
-    cokernel,
-    fixed_card_mod,
-    kernel_basis,
-    rank_mod,
-    smith_normal_form,
+from .zlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis, rank_mod
+from .zlinalg.snf import (
+    _cokernel_of_diagonal,
+    _is_prime,
+    _smith_diagonal,
+    _solutions_mod_of_diagonal,
+    solve_columns,
 )
-from .zlinalg.snf import _is_prime, solve_columns
+
+if TYPE_CHECKING:
+    from .bieberbach import BieberbachGroupSpec
 
 _ORDER_BOUND = 10_000
 _PRIME_BOUND = 2**31 - 1
@@ -43,17 +47,27 @@ _PRIME_BOUND = 2**31 - 1
 
 @dataclass(frozen=True)
 class GLattice:
-    """Z^rank with a finite-order automorphism ``g0`` of order ``order``."""
+    """Z^rank with a finite-order automorphism ``g0`` of order ``order``.
+
+    ``_mapping_torus`` keeps the spec ``bieberbach.mapping_torus`` builds
+    for this lattice, so every route that asks shares one spec.
+    """
 
     rank: int
     g0: IntMatrix
     order: int
     _fixed_dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _mapping_torus: BieberbachGroupSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def difference(self) -> IntMatrix:
         """g0 - 1, built once per lattice."""
         return self.g0 - IntMatrix.identity(self.rank)
+
+    @cached_property
+    def difference_diagonal(self) -> tuple[int, ...]:
+        """The Smith diagonal of g0 - 1, reduced once per lattice."""
+        return _smith_diagonal(self.difference)
 
     def fixed_dim(self, p: int) -> int:
         """Dimension of the fixed space of g0 over F_p, computed once per prime."""
@@ -111,7 +125,7 @@ def h1_card_formula(lat: GLattice, q: int) -> int:
     _require_coprime_prime(q, k)
     if k == 1:
         return 1
-    fixed = fixed_card_mod(lat.difference, k)
+    fixed = _solutions_mod_of_diagonal(lat.difference_diagonal, lat.rank, k)
     fixdim_q = lat.fixed_dim(q)
     denom = k**fixdim_q
     if fixed % denom:
@@ -168,7 +182,7 @@ def coinvariants(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     action; ``tests`` and the mapping-torus homology route both lean on
     that identification.
     """
-    full = cokernel(lat.difference)
+    full = _cokernel_of_diagonal(lat.difference_diagonal, lat.rank)
     return full, full.torsion_subgroup()
 
 

@@ -4,9 +4,9 @@
 operations are exact; nothing here ever touches floating point.
 
 Entries are checked once, where a matrix enters the program: the public
-constructor and ``from_columns``, its checked form by columns.  Internal
-results (products, sums, transposes, Smith transforms and what is derived
-from them) are built with the unchecked ``IntMatrix._of``.
+constructor.  Internal results (products, sums, transposes, Smith
+transforms and what is derived from them) are built with the unchecked
+``IntMatrix._of``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "_data", "_sparse")
+    __slots__ = ("rows", "cols", "_data", "_sparse", "_order")
 
     def __init__(self, entries: Iterable[Sequence[int]]):
         data = tuple(tuple(row) for row in entries)
@@ -85,25 +85,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls._of([[0] * cols for _ in range(rows)], cols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], rows: int | None = None) -> "IntMatrix":
-        """Build a matrix whose j-th column is ``columns[j]``.
-
-        Every column must have the same length, and that length must be
-        ``rows`` when ``rows`` is given.
-        """
-        if not columns:
-            if rows is None:
-                raise DomainError("from_columns with no columns needs an explicit row count")
-            return cls([[] for _ in range(rows)])
-        height = len(columns[0]) if rows is None else rows
-        for col in columns:
-            if len(col) != height:
-                raise DomainError(f"column of length {len(col)} in a matrix with {height} rows")
-        if not height:
-            return cls._of((), len(columns))
-        return cls([[col[i] for col in columns] for i in range(height)])
 
     # -- access ------------------------------------------------------
 
@@ -253,11 +234,20 @@ class IntMatrix:
         That lcm k is read off the characteristic polynomial and
         confirmed by one binary power; self^k != 1 means self is not
         semisimple, so of infinite order.
+
+        The order found is kept on the matrix, so its characteristic
+        polynomial is factored and its power taken once; a later call
+        compares the kept order with its own bound.
         """
         if not self.is_square:
             raise DomainError("matrix order needs a square matrix")
-        k = _cyclotomic_order(_charpoly(self), bound)
-        if k is None or not self.pow(k).is_identity():
+        k = getattr(self, "_order", None)
+        if k is None:
+            k = _cyclotomic_order(_charpoly(self), bound)
+            if k is None or not self.pow(k).is_identity():
+                raise DomainError(f"matrix order exceeds bound {bound}")
+            object.__setattr__(self, "_order", k)
+        if k > bound:
             raise DomainError(f"matrix order exceeds bound {bound}")
         return k
 

@@ -5,7 +5,9 @@ unimodular transforms so callers can verify ``u * m * v == d``
 directly; derived operations (cokernel, kernel basis, solution of
 linear systems over Z, counts of solutions mod m) all reduce to one
 Smith reduction.  Those that read only the diagonal (cokernel and
-counts mod m) run the same kernel without building the transforms.
+counts mod m) run the same kernel without building the transforms, and
+are thin wrappers over helpers that take the diagonal, so a caller that
+keeps a diagonal reads both from it.
 """
 
 from __future__ import annotations
@@ -96,16 +98,30 @@ def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(min(m.rows, m.cols)))
 
 
+def _cokernel_of_diagonal(diag: Sequence[int], rows: int) -> AbelianGroup:
+    """Z^rows modulo the columns of a matrix with Smith diagonal ``diag``."""
+    divisors = [e for e in diag if e]
+    return AbelianGroup(rows - len(divisors), tuple(e for e in divisors if e > 1))
+
+
+def _solutions_mod_of_diagonal(diag: Sequence[int], cols: int, modulus: int) -> int:
+    """Number of solutions mod ``modulus`` of m @ x == 0, for a matrix m
+    with ``cols`` columns and Smith diagonal ``diag``: each diagonal entry
+    d contributes gcd(d, modulus) (a zero entry the full modulus), and
+    columns beyond the diagonal are free."""
+    count = modulus ** (cols - len(diag))
+    for e in diag:
+        count *= modulus if e == 0 else gcd(e, modulus)
+    return count
+
+
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """Z^rows modulo the lattice spanned by the columns of ``m``.
 
     >>> str(cokernel(IntMatrix([[2, 0], [0, 3]])))
     'Z/6'
     """
-    divisors = [e for e in _smith_diagonal(m) if e]
-    free = m.rows - len(divisors)
-    torsion = [e for e in divisors if e > 1]
-    return AbelianGroup(free, tuple(torsion))
+    return _cokernel_of_diagonal(_smith_diagonal(m), m.rows)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -166,22 +182,14 @@ def rank_mod(m: IntMatrix, p: int) -> int:
 def fixed_card_mod(m: IntMatrix, modulus: int) -> int:
     """Number of solutions of ``m @ x == 0`` in (Z/modulus)^cols.
 
-    The modulus may be composite.  Computed from the Smith divisors:
-    each diagonal entry d contributes gcd(d, modulus) solutions (a zero
-    entry contributes the full modulus), and columns beyond the
-    diagonal are free.
+    The modulus may be composite.  Computed from the Smith divisors.
 
     >>> fixed_card_mod(IntMatrix([[-1, 1], [1, -1]]), 2)
     2
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
-    count = 1
-    diag = _smith_diagonal(m)
-    for e in diag:
-        count *= modulus if e == 0 else gcd(e, modulus)
-    count *= modulus ** (m.cols - len(diag))
-    return count
+    return _solutions_mod_of_diagonal(_smith_diagonal(m), m.cols, modulus)
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:

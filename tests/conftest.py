@@ -13,9 +13,12 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
 from cflat.bieberbach import AffineMap, BieberbachGroupSpec, _holonomy_relators, translation_map
-from cflat.classify import _line_classes
+from cflat.classify import _line_classes, aut_action
+from cflat.errors import DomainError
 from cflat.flatbundle import (
     FlatBundleSpec,
+    LineRep,
+    _evaluate,
     base_data,
     c1_of_line,
     cup_table,
@@ -23,6 +26,7 @@ from cflat.flatbundle import (
     mod2_add,
     mod2_zero,
     sw_vector,
+    total_holonomy,
     w1_of_line,
 )
 from cflat.zlinalg import IntMatrix, inverse_unimodular
@@ -638,7 +642,7 @@ def relation_matrix_oracle(spec: BieberbachGroupSpec) -> tuple[IntMatrix, tuple]
             columns.append([conj[row, i] for row in range(n)] + [0] * s)
     for exps, word in _holonomy_relators(spec):
         columns.append([-e for e in word.integral_translation()] + list(exps))
-    rel = IntMatrix.from_columns(columns, rows=n + s)
+    rel = from_columns(columns, rows=n + s)
     words, screw_index = [], 0
     for g in spec.gens:
         if g.is_translation():
@@ -661,3 +665,51 @@ def functional_on_basis_oracle(ab, gen_values, modulus: int) -> tuple | None:
     u_inv = ab.u_inv
     row = [sum(gen_values[i] * u_inv[i, j] for i in range(u_inv.rows)) % modulus for j in range(u_inv.cols)]
     return tuple(row[i] for i in ab.free_positions), tuple(row[i] for i in ab.torsion_positions)
+
+
+# Helpers that only tests call: a checked constructor by columns, the
+# automorphism orbits of line classes, a character's angle on a listed
+# generator, and the order of a bundle's total holonomy.
+
+
+def from_columns(columns, rows: int | None = None) -> IntMatrix:
+    """The matrix whose j-th column is ``columns[j]``, through the checked
+    constructor.  Every column must have the same length, and that length
+    must be ``rows`` when ``rows`` is given."""
+    if not columns:
+        if rows is None:
+            raise DomainError("from_columns with no columns needs an explicit row count")
+        return IntMatrix([[] for _ in range(rows)])
+    height = len(columns[0]) if rows is None else rows
+    for col in columns:
+        if len(col) != height:
+            raise DomainError(f"column of length {len(col)} in a matrix with {height} rows")
+    if not height:
+        return IntMatrix._of((), len(columns))
+    return IntMatrix([[col[i] for col in columns] for i in range(height)])
+
+
+def codim1_classes(base: str) -> list[tuple]:
+    """Orbits of degree-one mod-2 classes (flat line bundles up to the
+    automorphism action), each orbit sorted, lex-least first."""
+    action = aut_action(base)
+    seen = set()
+    orbits = []
+    for bits in _line_classes(base):
+        if bits in seen:
+            continue
+        orb = action.orbit(bits)
+        seen.update(orb)
+        orbits.append(orb)
+    orbits.sort(key=lambda orb: orb[0])
+    return orbits
+
+
+def evaluate_on_generator(base: str, rep: LineRep, gen_index: int) -> Fraction:
+    """The character's angle on a listed group generator (mod 1)."""
+    return _evaluate(rep, base_data(base).ab.gen_image(gen_index))
+
+
+def holonomy_image_order(bundle: FlatBundleSpec) -> int:
+    """Order of the total-space holonomy image (an affine invariant)."""
+    return len(total_holonomy(bundle))

@@ -42,7 +42,7 @@ from cflat.bieberbach import (
 )
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import GLattice, coinvariants, h1_oracle, h1_report, make_glattice
-from cflat.zlinalg import AbelianGroup, IntMatrix, cokernel
+from cflat.zlinalg import AbelianGroup, IntMatrix, backend, cokernel, matrix
 
 # name -> (first homology, holonomy order, holonomy cyclic)
 KNOWN = {
@@ -184,6 +184,77 @@ def test_mapping_torus_still_checks_a_hand_built_lattice():
         mapping_torus(GLattice(rank=3, g0=IntMatrix([[0, 1], [1, 0]]), order=2))
 
 
+def test_mapping_torus_refuses_a_hand_built_lattice_of_the_wrong_order():
+    """The closed-form relator alpha^k = e_(n+1) needs k to be the order of
+    g0, so a hand-built lattice that states another order is refused, by
+    the spec and by the torsion routes.  The rotation of order 4 stated
+    as order 2 gives a screw alpha of translation e_3 / 2, whose square
+    times -e_3 is a half-turn fixing the origin: that group has torsion,
+    although the relator of the true order presents Z + Z/2 + Z/2."""
+    cases = [
+        (IntMatrix([[-1]]), 4, "^lattice order 4 is not the order 2 of its automorphism$"),
+        (IntMatrix([[0, -1], [1, 0]]), 2, "^lattice order 2 is not the order 4 of its automorphism$"),
+        (IntMatrix([[1, 1], [0, 1]]), 2, "^matrix order exceeds bound 1000$"),
+    ]
+    for g0, k, message in cases:
+        lat = GLattice(rank=g0.rows, g0=g0, order=k)
+        for route in (mapping_torus, tors_h1_two_ways):
+            with pytest.raises(DomainError, match=message):
+                route(lat)
+
+
+def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
+    """The h1 query of the benchmark -- make_glattice, h1_report, the
+    holonomy of the mapping torus and the torsion two ways -- factors one
+    characteristic polynomial, takes one norm, reduces g0 - 1 once without
+    witnesses and builds one spec, per lattice."""
+    rng = random.Random(SEED + 40)
+    matrices = [IntMatrix([[-1]]), IntMatrix.identity(2)]
+    matrices += [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(32)]
+    charpolys, norms, specs, reduced, lists_of = [], [], [], [], {}
+    charpoly, power_sum, post_init = matrix._charpoly, IntMatrix.power_sum, BieberbachGroupSpec.__post_init__
+    to_lists, snf_inplace = IntMatrix.to_lists, backend.snf_inplace
+
+    def counting_charpoly(m):
+        charpolys.append(1)
+        return charpoly(m)
+
+    def counting_power_sum(self, k):
+        norms.append(1)
+        return power_sum(self, k)
+
+    def counting_post_init(self):
+        specs.append(1)
+        post_init(self)
+
+    def tracked_to_lists(self):
+        rows = to_lists(self)
+        lists_of[id(rows)] = (rows, self)
+        return rows
+
+    def tracked_snf_inplace(d, u, v):
+        if u is None:  # no witnesses: record which matrix is reduced
+            reduced.append(lists_of[id(d)][1])
+        return snf_inplace(d, u, v)
+
+    monkeypatch.setattr(matrix, "_charpoly", counting_charpoly)
+    monkeypatch.setattr(IntMatrix, "power_sum", counting_power_sum)
+    monkeypatch.setattr(BieberbachGroupSpec, "__post_init__", counting_post_init)
+    monkeypatch.setattr(IntMatrix, "to_lists", tracked_to_lists)
+    monkeypatch.setattr(backend, "snf_inplace", tracked_snf_inplace)
+    for g0 in matrices:
+        for seen in (charpolys, norms, specs, reduced):
+            seen.clear()
+        lists_of.clear()
+        lat = make_glattice(g0)
+        h1_report(lat)
+        holonomy = holonomy_group(mapping_torus(lat))
+        via_spec, via_coinvariants = tors_h1_two_ways(lat)
+        assert len(holonomy) == lat.order and via_spec == via_coinvariants
+        differences = sum(m is lat.difference for m in reduced)
+        assert (len(charpolys), len(norms), differences, len(specs)) == (1, 1, 1, 1), g0
+
+
 def test_mapping_torus_of_reflection_is_klein():
     spec = mapping_torus(make_glattice(IntMatrix([[-1]])))
     assert abelianization(spec).group == KNOWN["K"][0]
@@ -223,9 +294,9 @@ def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
 
 
 def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
-    """The cyclic relator takes k from the matrix order and N from the
-    doubling norm, so abelianizing a mapping torus walks no holonomy;
-    holonomy_group still lists the k powers, identity first."""
+    """A mapping torus lists its cyclic relator ([k], e_(n+1)) in closed
+    form, so abelianizing it walks no holonomy; holonomy_group still
+    lists the k powers, identity first."""
     walks = []
     walk = bieberbach.orbit
 

@@ -15,7 +15,9 @@ from conftest import (
     SEED,
     TORUS_MOVES,
     canonical_multiset,
+    codim1_classes,
     epimorphism_count_oracle,
+    holonomy_image_order,
     mod2_closure,
     orbit,
     random_angles,
@@ -29,10 +31,8 @@ from cflat.classify import (
     aut_action,
     circle_canonical,
     classification_report,
-    codim1_classes,
     diffeo_classes,
     dim4_table,
-    holonomy_image_order,
     inequivalent_family,
     klein_rho_canonical,
     stably_diffeomorphic,

@@ -2,16 +2,17 @@
 cup tables re-derived from the intersection forms, Chern classes,
 Whitney vectors, and the structure results."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from conftest import SEED, sw_vector_pairwise
-from cflat import flatbundle
+from conftest import SEED, evaluate_on_generator, sw_vector_pairwise
+from cflat import cli, flatbundle
 from cflat.classify import _line_classes
-from cflat.errors import DomainError
+from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import (
     C1Class,
     FlatBundleSpec,
@@ -21,7 +22,6 @@ from cflat.flatbundle import (
     cup_table,
     cyclic_structure,
     det_line,
-    evaluate_on_generator,
     line_with_w1,
     mod2_str,
     orientation_character,
@@ -206,6 +206,29 @@ def test_c1_examples():
     assert c.mod2_bit() == 1
     with pytest.raises(DomainError):
         c1_of_line("K", LineRep("real", (F(0),), (F(1, 2),)))  # complex only
+
+
+def test_c1_past_the_holonomy_order_is_an_internal_error(monkeypatch, capsys):
+    """On every catalog base the torsion orders divide the holonomy order,
+    so c1's check is reached only through a base table whose holonomy was
+    cut short; it fails as an internal error, exit 2 at the CLI."""
+    table = flatbundle.base_data
+
+    def cut_holonomy(name):
+        data = table(name)
+        return dataclasses.replace(data, holonomy=data.holonomy[:1])
+
+    monkeypatch.setattr(flatbundle, "base_data", cut_holonomy)
+    line = LineRep("complex", (F(0),), (F(1, 2),))
+    message = "^character of order 2 on torsion does not divide the holonomy order 1$"
+    with pytest.raises(InternalCheckError, match=message):
+        c1_of_line("K", line)
+    with pytest.raises(InternalCheckError, match=message):
+        sw_vector(FlatBundleSpec("K", (line,)))
+    bundle = '{"base": "K", "summands": [{"kind": "complex", "free": ["0"], "torsion": ["1/2"]}]}'
+    assert cli.main(["stable-eq", "--left", bundle, "--right", bundle]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal check failed" in captured.err
 
 
 def test_c1_trivial_over_tori_grid():

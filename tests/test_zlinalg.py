@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     SEED,
+    from_columns,
     gcd_minor_divisors,
     matmul_oracle,
     order_oracle,
@@ -49,9 +50,9 @@ def test_matrix_construction_and_access():
     assert m.row(0) == (1, 2, 3)
     assert m.column(2) == (3, 6)
     assert m.transpose().to_lists() == [[1, 4], [2, 5], [3, 6]]
-    assert IntMatrix.from_columns([[1, 4], [2, 5], [3, 6]]) == m
-    assert IntMatrix.from_columns([[1, 4]], rows=2).to_lists() == [[1], [4]]
-    assert IntMatrix.from_columns([], rows=2).to_lists() == [[], []]
+    assert from_columns([[1, 4], [2, 5], [3, 6]]) == m
+    assert from_columns([[1, 4]], rows=2).to_lists() == [[1], [4]]
+    assert from_columns([], rows=2).to_lists() == [[], []]
 
 
 def test_matrix_rejects_bad_input():
@@ -62,15 +63,15 @@ def test_matrix_rejects_bad_input():
     with pytest.raises(DomainError):
         IntMatrix([[1.5]])
     with pytest.raises(DomainError):
-        IntMatrix.from_columns([[1], [2, 3]])  # ragged columns
+        from_columns([[1], [2, 3]])  # ragged columns
     with pytest.raises(DomainError):
-        IntMatrix.from_columns([[1, 2], [3]])
+        from_columns([[1, 2], [3]])
     with pytest.raises(DomainError):
-        IntMatrix.from_columns([[1, 2], [3, 4]], rows=3)  # columns disagree with rows
+        from_columns([[1, 2], [3, 4]], rows=3)  # columns disagree with rows
     with pytest.raises(DomainError):
-        IntMatrix.from_columns([[1, True]])
+        from_columns([[1, True]])
     with pytest.raises(DomainError):
-        IntMatrix.from_columns([])
+        from_columns([])
     with pytest.raises(DomainError):
         IntMatrix([[1, 2]]).scale(0.5)
     with pytest.raises(DomainError):
@@ -102,7 +103,7 @@ def test_matrix_shapes_with_a_zero_dimension():
     assert z * IntMatrix.zeros(3, 2) == IntMatrix.zeros(0, 2)
     assert IntMatrix.identity(0) * IntMatrix.zeros(0, 4) == IntMatrix.zeros(0, 4)
     assert (z + z).cols == 3 and (-z).cols == 3 and z.scale(2).cols == 3 and z.mod(5).cols == 3
-    empty = IntMatrix.from_columns([[], [], []])
+    empty = from_columns([[], [], []])
     assert (empty.rows, empty.cols) == (0, 3)
     assert IntMatrix([[], []]).cols == 0
     dec = smith_normal_form(z)
@@ -173,6 +174,42 @@ def test_order_matches_successive_powers_on_finite_order_lattices():
         if k > 1:
             with pytest.raises(DomainError, match=f"^matrix order exceeds bound {k - 1}$"):
                 m.order(k - 1)
+
+
+def test_order_is_found_once_per_matrix(monkeypatch):
+    """A second order call reads the order kept on the matrix: no second
+    characteristic polynomial and no product.  A smaller bound still
+    refuses, and a refused matrix keeps nothing."""
+    rng = random.Random(SEED + 12)
+    lattices = [random_cyclotomic_lattice(rng, max_rank=8) for _ in range(20)]
+    jordan = IntMatrix([[1, 1], [0, 1]])
+    charpolys, products = [], []
+    charpoly, mul = matrix._charpoly, IntMatrix.__mul__
+
+    def counting_charpoly(m):
+        charpolys.append(1)
+        return charpoly(m)
+
+    def counting_mul(self, other):
+        products.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(matrix, "_charpoly", counting_charpoly)
+    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
+    for m, k in lattices:
+        assert m.order(1000) == k
+        assert len(charpolys) == 1
+        charpolys.clear()
+        products.clear()
+        assert m.order(1000) == m.order(k) == k
+        if k > 1:
+            with pytest.raises(DomainError, match=f"^matrix order exceeds bound {k - 1}$"):
+                m.order(k - 1)
+        assert charpolys == products == []
+    for _ in range(2):
+        with pytest.raises(DomainError, match="^matrix order exceeds bound 50$"):
+            jordan.order(50)
+    assert len(charpolys) == 2
 
 
 def test_order_builds_its_totient_table_once_per_rank():
@@ -574,7 +611,7 @@ def test_kernel_bases_and_solutions_are_built_unchecked(monkeypatch):
         a = random_matrix(rng, rows, cols, 6)
         dec = smith_normal_form(a)
         free = [j for j in range(cols) if j >= len(dec.diagonal) or dec.diagonal[j] == 0]
-        basis = IntMatrix.from_columns([dec.v.column(j) for j in free], rows=cols)
+        basis = from_columns([dec.v.column(j) for j in free], rows=cols)
         cases.append((a, basis, a * random_matrix(rng, cols, rng.randint(1, 3), 6)))
     inits = []
     init = IntMatrix.__init__
