@@ -371,11 +371,9 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     relator, ([k], e_(n+1)), in closed form.
 
     Built once per lattice, from rows that were already checked, and
-    kept on the lattice.  A ``GLattice`` built by hand is still checked,
-    in this order: the shape of g0, the holonomy bound on the order, the
-    spec's determinant check of the screw, and ``lat.order`` against the
-    order of g0, which the closed-form relator needs (``make_glattice``
-    keeps that order on g0, so the check is free there).
+    kept on the lattice.  The lattice checked g0 when it was made, and
+    its order is the order of g0, which the closed-form relator needs;
+    only an order past the holonomy bound is refused here.
     """
     if lat._mapping_torus is not None:
         return lat._mapping_torus
@@ -383,8 +381,6 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     k = lat.order
     dim = n + 1
     g0 = lat.g0
-    if g0.rows != n or g0.cols != n:
-        raise DomainError(f"lattice of rank {n} with a {g0.rows}x{g0.cols} automorphism")
     if k > _HOLONOMY_BOUND:
         raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
     unit = [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i) for i in range(dim)]
@@ -392,9 +388,6 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
     spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
-    order = g0.order(_HOLONOMY_BOUND)
-    if order != k:
-        raise DomainError(f"lattice order {k} is not the order {order} of its automorphism")
     if k > 1:  # at k = 1 the extra generator is the translation e_(n+1)
         object.__setattr__(spec, "_cyclic_relator", (k, translation_map(dim, unit[n])))
     object.__setattr__(lat, "_mapping_torus", spec)
@@ -408,7 +401,7 @@ def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     torsion of the coinvariant lattice of the automorphism.  Both are
     returned so the agreement stays an observable fact rather than an
     assumption.  Route one reads the lattice's kept mapping torus, and
-    route two its kept Smith diagonal of g0 - 1.
+    route two its kept coinvariant group.
     """
     ab = abelianization(mapping_torus(lat))
     _, tors_coinv = coinvariants(lat)

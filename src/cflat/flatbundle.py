@@ -147,13 +147,6 @@ class LineRep:
     def is_trivial(self) -> bool:
         return not any(self.free) and not any(self.torsion)
 
-    def conjugate(self) -> "LineRep":
-        return LineRep(
-            self.kind,
-            tuple((-v) % 1 for v in self.free),
-            tuple((-v) % 1 for v in self.torsion),
-        )
-
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """The angles as Fractions; Fraction inputs are kept as they are."""

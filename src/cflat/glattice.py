@@ -14,11 +14,12 @@ k.  The module computes H^1 of that action three independent ways:
 It also produces the coinvariant lattice and a sufficient-condition
 certificate for vanishing of H^1.
 
-Every route works from the same g0 - 1 and the same fixed dimensions
-mod each prime: a lattice builds its difference matrix once, reduces it
-to its Smith diagonal once, and runs one ``rank_mod`` per prime, however
-many routes ask.  The counting formula and the coinvariants both read
-that one diagonal.
+A lattice is made from g0 alone and checks it once, when it is made;
+its rank and order are read off g0.  Every route works from the same
+g0 - 1 and the same fixed dimensions mod each prime: a lattice builds
+its difference matrix once, reduces it to its coinvariant group once,
+and runs one ``rank_mod`` per prime, however many routes ask.  The
+counting formula reads its fixed-point count off that one group.
 """
 
 from __future__ import annotations
@@ -30,13 +31,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalCheckError
 from .zlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis, rank_mod
-from .zlinalg.snf import (
-    _cokernel_of_diagonal,
-    _is_prime,
-    _smith_diagonal,
-    _solutions_mod_of_diagonal,
-    solve_columns,
-)
+from .zlinalg.snf import _is_prime, solve_columns
 
 if TYPE_CHECKING:
     from .bieberbach import BieberbachGroupSpec
@@ -47,17 +42,35 @@ _PRIME_BOUND = 2**31 - 1
 
 @dataclass(frozen=True)
 class GLattice:
-    """Z^rank with a finite-order automorphism ``g0`` of order ``order``.
+    """Z^n with one automorphism ``g0`` of finite order.
+
+    Made from g0 alone, and checked once, here: g0 must be square with
+    det = +-1 and of order at most 10,000.  ``rank`` and ``order`` are
+    read off g0; the order is kept on g0, so it is found once.
 
     ``_mapping_torus`` keeps the spec ``bieberbach.mapping_torus`` builds
     for this lattice, so every route that asks shares one spec.
     """
 
-    rank: int
     g0: IntMatrix
-    order: int
     _fixed_dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     _mapping_torus: BieberbachGroupSpec | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        g0 = self.g0
+        if not g0.is_square:
+            raise DomainError(f"automorphism matrix must be square, got {g0.rows}x{g0.cols}")
+        if abs(g0.det()) != 1:
+            raise DomainError("matrix is not a lattice automorphism (det != +-1)")
+        g0.order(_ORDER_BOUND)
+
+    @property
+    def rank(self) -> int:
+        return self.g0.rows
+
+    @property
+    def order(self) -> int:
+        return self.g0.order(_ORDER_BOUND)
 
     @cached_property
     def difference(self) -> IntMatrix:
@@ -65,9 +78,9 @@ class GLattice:
         return self.g0 - IntMatrix.identity(self.rank)
 
     @cached_property
-    def difference_diagonal(self) -> tuple[int, ...]:
-        """The Smith diagonal of g0 - 1, reduced once per lattice."""
-        return _smith_diagonal(self.difference)
+    def coinvariant_group(self) -> AbelianGroup:
+        """Z^n / im(g0 - 1), one Smith reduction without witnesses per lattice."""
+        return cokernel(self.difference)
 
     def fixed_dim(self, p: int) -> int:
         """Dimension of the fixed space of g0 over F_p, computed once per prime."""
@@ -77,17 +90,13 @@ class GLattice:
 
 
 def make_glattice(g0: IntMatrix) -> GLattice:
-    """Validate ``g0`` (square, det = +-1, finite order) and wrap it.
+    """``GLattice(g0)``, which checks g0 (square, det = +-1, finite order).
 
     The order comes from ``IntMatrix.order``: the lcm of the cyclotomic
     factors of the characteristic polynomial, confirmed by O(log k)
     products, and a ``DomainError`` when g0^k = 1 for no k up to 10,000.
     """
-    if not g0.is_square:
-        raise DomainError(f"automorphism matrix must be square, got {g0.rows}x{g0.cols}")
-    if abs(g0.det()) != 1:
-        raise DomainError("matrix is not a lattice automorphism (det != +-1)")
-    return GLattice(rank=g0.rows, g0=g0, order=g0.order(_ORDER_BOUND))
+    return GLattice(g0)
 
 
 def h1_oracle(lat: GLattice) -> AbelianGroup:
@@ -125,7 +134,7 @@ def h1_card_formula(lat: GLattice, q: int) -> int:
     _require_coprime_prime(q, k)
     if k == 1:
         return 1
-    fixed = _solutions_mod_of_diagonal(lat.difference_diagonal, lat.rank, k)
+    fixed = lat.coinvariant_group.quotient_card(k)  # |(Z/k)^n fixed by g0| = |C / kC|
     fixdim_q = lat.fixed_dim(q)
     denom = k**fixdim_q
     if fixed % denom:
@@ -182,7 +191,7 @@ def coinvariants(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     action; ``tests`` and the mapping-torus homology route both lean on
     that identification.
     """
-    full = _cokernel_of_diagonal(lat.difference_diagonal, lat.rank)
+    full = lat.coinvariant_group
     return full, full.torsion_subgroup()
 
 

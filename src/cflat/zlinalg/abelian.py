@@ -70,10 +70,6 @@ class AbelianGroup:
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.torsion
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
     def torsion_cardinality(self) -> int:
         return prod(self.torsion)
 
@@ -82,6 +78,10 @@ class AbelianGroup:
         if self.free_rank:
             raise DomainError("infinite group has no cardinality")
         return self.torsion_cardinality()
+
+    def quotient_card(self, q: int) -> int:
+        """Order of G / qG: q per free summand times gcd(d, q) per Z/d."""
+        return q**self.free_rank * prod(gcd(d, q) for d in self.torsion)
 
     def torsion_subgroup(self) -> "AbelianGroup":
         return AbelianGroup(0, self.torsion)

@@ -70,6 +70,10 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        """Copies and pickles rebuild through ``_of``, not ``__setattr__``."""
+        return IntMatrix._of, (self._data, self.cols)
+
     # -- constructors ------------------------------------------------
 
     @classmethod
@@ -108,9 +112,6 @@ class IntMatrix:
 
     def is_identity(self) -> bool:
         return self == IntMatrix.identity(self.rows)
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self._data for e in row)
 
     # -- arithmetic --------------------------------------------------
 
@@ -162,10 +163,6 @@ class IntMatrix:
 
     def __neg__(self) -> "IntMatrix":
         return IntMatrix._of([[-e for e in row] for row in self._data], self.cols)
-
-    def scale(self, c: int) -> "IntMatrix":
-        _check_scalar(c)
-        return IntMatrix._of([[c * e for e in row] for row in self._data], self.cols)
 
     def _same_shape(self, other: "IntMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -257,10 +254,6 @@ class IntMatrix:
             raise DomainError("determinant of a non-square matrix")
         return backend.det_inplace(self.to_lists())
 
-    def mod(self, m: int) -> "IntMatrix":
-        _check_scalar(m)
-        return IntMatrix._of([[e % m for e in row] for row in self._data], self.cols)
-
     # -- equality / hashing / repr -----------------------------------
 
     def __eq__(self, other) -> bool:
@@ -272,11 +265,6 @@ class IntMatrix:
     def __repr__(self) -> str:
         body = ", ".join(str(list(row)) for row in self._data)
         return f"IntMatrix([{body}])"
-
-
-def _check_scalar(c) -> None:
-    if not isinstance(c, int):
-        raise DomainError(f"non-integer scalar {c!r}")
 
 
 def _charpoly(m: IntMatrix) -> list[int]:

@@ -4,17 +4,14 @@ Everything is exact integer arithmetic.  The decomposition carries its
 unimodular transforms so callers can verify ``u * m * v == d``
 directly; derived operations (cokernel, kernel basis, solution of
 linear systems over Z, counts of solutions mod m) all reduce to one
-Smith reduction.  Those that read only the diagonal (cokernel and
-counts mod m) run the same kernel without building the transforms, and
-are thin wrappers over helpers that take the diagonal, so a caller that
-keeps a diagonal reads both from it.
+Smith reduction.  The cokernel reads only the diagonal, so it runs the
+same kernel without building the transforms, and a count of solutions
+mod m is read off the cokernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Sequence
 
 from ..errors import DomainError, InternalCheckError
 from . import backend
@@ -98,30 +95,14 @@ def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     return tuple(d[i][i] for i in range(min(m.rows, m.cols)))
 
 
-def _cokernel_of_diagonal(diag: Sequence[int], rows: int) -> AbelianGroup:
-    """Z^rows modulo the columns of a matrix with Smith diagonal ``diag``."""
-    divisors = [e for e in diag if e]
-    return AbelianGroup(rows - len(divisors), tuple(e for e in divisors if e > 1))
-
-
-def _solutions_mod_of_diagonal(diag: Sequence[int], cols: int, modulus: int) -> int:
-    """Number of solutions mod ``modulus`` of m @ x == 0, for a matrix m
-    with ``cols`` columns and Smith diagonal ``diag``: each diagonal entry
-    d contributes gcd(d, modulus) (a zero entry the full modulus), and
-    columns beyond the diagonal are free."""
-    count = modulus ** (cols - len(diag))
-    for e in diag:
-        count *= modulus if e == 0 else gcd(e, modulus)
-    return count
-
-
 def cokernel(m: IntMatrix) -> AbelianGroup:
     """Z^rows modulo the lattice spanned by the columns of ``m``.
 
     >>> str(cokernel(IntMatrix([[2, 0], [0, 3]])))
     'Z/6'
     """
-    return _cokernel_of_diagonal(_smith_diagonal(m), m.rows)
+    divisors = [e for e in _smith_diagonal(m) if e]
+    return AbelianGroup(m.rows - len(divisors), tuple(e for e in divisors if e > 1))
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:
@@ -182,14 +163,17 @@ def rank_mod(m: IntMatrix, p: int) -> int:
 def fixed_card_mod(m: IntMatrix, modulus: int) -> int:
     """Number of solutions of ``m @ x == 0`` in (Z/modulus)^cols.
 
-    The modulus may be composite.  Computed from the Smith divisors.
+    The modulus may be composite.  With C = coker(m) and r = rank(m), C
+    has free rank rows - r and the solutions number modulus^(cols - r)
+    times gcd(d, modulus) per Smith divisor d, so they are
+    modulus^(cols - rows) * |C / modulus C|, an integer.
 
     >>> fixed_card_mod(IntMatrix([[-1, 1], [1, -1]]), 2)
     2
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
-    return _solutions_mod_of_diagonal(_smith_diagonal(m), m.cols, modulus)
+    return cokernel(m).quotient_card(modulus) * modulus**m.cols // modulus**m.rows
 
 
 def solve_columns(a: IntMatrix, b: IntMatrix) -> IntMatrix:

@@ -1,6 +1,8 @@
 """Catalog group homology against hand-written presentation matrices
 and the classically known values, plus the splitting machinery."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -41,6 +43,7 @@ from cflat.bieberbach import (
     translation_map,
 )
 from cflat.errors import DomainError, InternalCheckError
+from cflat.flatbundle import FlatBundleSpec, LineRep
 from cflat.glattice import GLattice, coinvariants, h1_oracle, h1_report, make_glattice
 from cflat.zlinalg import AbelianGroup, IntMatrix, backend, cokernel, matrix
 
@@ -174,33 +177,38 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
     assert inits == []
 
 
-def test_mapping_torus_still_checks_a_hand_built_lattice():
-    """GLattice(...) does not validate g0; the spec's determinant check
-    does, and a g0 of the wrong shape is refused."""
-    lat = GLattice(rank=2, g0=IntMatrix([[2, 0], [0, 1]]), order=2)
-    with pytest.raises(DomainError, match="generator linear part is not unimodular"):
-        mapping_torus(lat)
-    with pytest.raises(DomainError, match="rank 3 with a 2x2 automorphism"):
-        mapping_torus(GLattice(rank=3, g0=IntMatrix([[0, 1], [1, 0]]), order=2))
+def test_a_lattice_made_by_hand_reports_what_make_glattice_reports():
+    """A g0 that was once stated with a wrong order (the unipotent
+    [[1,1],[0,1]], the order-4 rotation, the swap) made h1_report raise
+    InternalCheckError.  Now g0 alone fixes the order: the unipotent one
+    is refused as an input fault, and the others report, and build their
+    mapping tori, as through make_glattice."""
+    with pytest.raises(DomainError, match="^matrix order exceeds bound 10000$"):
+        GLattice(IntMatrix([[1, 1], [0, 1]]))
+    for rows in ([[0, -1], [1, 0]], [[0, 1], [1, 0]]):
+        lat, want = GLattice(IntMatrix(rows)), make_glattice(IntMatrix(rows))
+        assert h1_report(lat) == h1_report(want)
+        assert tors_h1_two_ways(lat) == tors_h1_two_ways(want)
+        got, spec = mapping_torus(lat), mapping_torus(want)
+        assert (got.name, got.dim, got.gens) == (spec.name, spec.dim, spec.gens)
 
 
-def test_mapping_torus_refuses_a_hand_built_lattice_of_the_wrong_order():
-    """The closed-form relator alpha^k = e_(n+1) needs k to be the order of
-    g0, so a hand-built lattice that states another order is refused, by
-    the spec and by the torsion routes.  The rotation of order 4 stated
-    as order 2 gives a screw alpha of translation e_3 / 2, whose square
-    times -e_3 is a half-turn fixing the origin: that group has torsion,
-    although the relator of the true order presents Z + Z/2 + Z/2."""
-    cases = [
-        (IntMatrix([[-1]]), 4, "^lattice order 4 is not the order 2 of its automorphism$"),
-        (IntMatrix([[0, -1], [1, 0]]), 2, "^lattice order 2 is not the order 4 of its automorphism$"),
-        (IntMatrix([[1, 1], [0, 1]]), 2, "^matrix order exceeds bound 1000$"),
-    ]
-    for g0, k, message in cases:
-        lat = GLattice(rank=g0.rows, g0=g0, order=k)
-        for route in (mapping_torus, tors_h1_two_ways):
-            with pytest.raises(DomainError, match=message):
-                route(lat)
+def test_matrices_lattices_specs_and_bundles_copy_and_pickle():
+    """copy, deepcopy and a pickle round trip give an equal object with
+    the same hash that still refuses attribute writes; a lattice copied
+    after its report reports the same again."""
+    lat = make_glattice(IntMatrix([[0, -1], [1, 0]]))
+    report = h1_report(lat)
+    tors_h1_two_ways(lat)
+    bundle = FlatBundleSpec("K", (LineRep("real", (Fraction(1, 2),), (Fraction(0),)),))
+    cases = [(IntMatrix([[0, -1], [1, 0]]), "rows"), (lat, "g0"), (catalog_group("G3"), "name"), (bundle, "base")]
+    for obj, attr in cases:
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+            with pytest.raises(AttributeError):
+                setattr(twin, attr, getattr(obj, attr))
+            if isinstance(obj, GLattice):
+                assert h1_report(twin) == report
 
 
 def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):

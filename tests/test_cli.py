@@ -191,6 +191,18 @@ def test_domain_errors_exit_one(capsys):
     assert code == 1
 
 
+def test_h1_rejections_print_one_error_line(capsys):
+    """h1 refuses a g0 that is not square, not unimodular or of infinite
+    order with exit 1, one exact stderr line and nothing on stdout."""
+    cases = [
+        ("[[1,2,3]]", "error: automorphism matrix must be square, got 1x3\n"),
+        ("[[2]]", "error: matrix is not a lattice automorphism (det != +-1)\n"),
+        ("[[1,1],[0,1]]", "error: matrix order exceeds bound 10000\n"),
+    ]
+    for g0, message in cases:
+        assert run_cli(capsys, "h1", "--g0", g0) == (1, "", message)
+
+
 def test_bound_at_its_caps_is_bounded(capsys):
     """bound answers within 0.5 s at its caps (order^rank 2,000,000,
     fiber dimension 1000) and refuses past them with exit 1."""

@@ -10,6 +10,7 @@ from conftest import SEED, random_cyclotomic_lattice, random_finite_order_matrix
 from cflat import glattice
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import (
+    GLattice,
     TrivialityCertificate,
     coinvariants,
     h1_card_formula,
@@ -39,6 +40,29 @@ def test_make_glattice_validation():
         make_glattice(IntMatrix([[2]]))
     with pytest.raises(DomainError):
         make_glattice(IntMatrix([[1, 1], [0, 1]]))  # infinite order
+
+
+def test_glattice_is_made_from_g0_alone():
+    """rank and order are read off g0: they can be neither stated nor set."""
+    with pytest.raises(TypeError):
+        GLattice(rank=2, g0=ROT4, order=4)
+    lat = GLattice(ROT4)
+    assert (lat.rank, lat.order) == (2, 4) and lat == make_glattice(ROT4)
+    for attr in ("rank", "order"):
+        with pytest.raises(AttributeError):
+            setattr(lat, attr, 2)
+
+
+def test_glattice_checks_g0_with_the_messages_of_make_glattice():
+    cases = [
+        (IntMatrix([[2, 0], [0, 1]]), r"^matrix is not a lattice automorphism \(det != \+-1\)$"),
+        (IntMatrix([[1, 2, 3]]), "^automorphism matrix must be square, got 1x3$"),
+        (IntMatrix([[1, 1], [0, 1]]), "^matrix order exceeds bound 10000$"),
+    ]
+    for g0, message in cases:
+        for make in (GLattice, make_glattice):
+            with pytest.raises(DomainError, match=message):
+                make(g0)
 
 
 def test_make_glattice_takes_logarithmic_products(monkeypatch):
