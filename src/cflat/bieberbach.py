@@ -43,7 +43,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, InternalCheckError
-from .glattice import GLattice, coinvariants
+from .glattice import GLattice
 from .orbit import orbit
 from .zlinalg import AbelianGroup, IntMatrix, smith_normal_form
 from .zlinalg.snf import SNFDecomposition, inverse_unimodular
@@ -211,9 +211,6 @@ class H1Element:
 
     free: tuple[int, ...]
     torsion: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
 
 
 @dataclass(frozen=True)
@@ -398,14 +395,14 @@ def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     """Torsion of H_1 of the mapping torus, two independent routes.
 
     Route one abelianizes the mapping-torus group; route two takes the
-    torsion of the coinvariant lattice of the automorphism.  Both are
-    returned so the agreement stays an observable fact rather than an
-    assumption.  Route one reads the lattice's kept mapping torus, and
-    route two its kept coinvariant group.
+    torsion of the coinvariant group Z^n / im(g0 - 1), another model of
+    H^1 of the action.  Both are returned so the agreement stays an
+    observable fact rather than an assumption.  Route one reads the
+    lattice's kept mapping torus, and route two its kept
+    ``coinvariant_group``.
     """
     ab = abelianization(mapping_torus(lat))
-    _, tors_coinv = coinvariants(lat)
-    return ab.group.torsion_subgroup(), tors_coinv
+    return ab.group.torsion_subgroup(), lat.coinvariant_group.torsion_subgroup()
 
 
 # ======================================================================

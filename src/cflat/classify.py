@@ -16,10 +16,11 @@ cross-reported: when the oracle disagrees with a recorded count the
 disagreement is surfaced as data, never patched over.
 
 One table, ``_ACTIONS``, lists generators of each base's automorphism
-action on characters.  The affine-equivalence search walks it on
-characters, and ``aut_action`` reduces it mod 2 for the action on
-degree-one mod-2 classes.  Both walks are the bounded breadth-first
-``orbit`` of ``cflat.orbit``.
+action on characters.  The affine-equivalence search walks their orbit
+on characters with the bounded breadth-first ``orbit`` of
+``cflat.orbit``.  ``aut_action`` reduces them mod 2 and keeps the
+action on degree-one mod-2 classes as its orbits, each walked with the
+same ``orbit`` from one class.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .orbit import orbit
 
 _SURFACE_BASES = ("S1", "T2", "K")
 _DENOM_BOUND = 64
-_AUT_CLOSURE_BOUND = 16
 _AFFINE_ORBIT_BOUND = 2_000_000
 _EPI_BOUND = 2_000_000
 _FIBER_DIM_BOUND = 1000
@@ -75,60 +75,46 @@ def _mat2_apply(m: Mod2Matrix, bits: Mod2Class) -> Mod2Class:
     return tuple(sum(r * b for r, b in zip(row, bits)) % 2 for row in m)
 
 
-def _mat2_mul(a: Mod2Matrix, b: Mod2Matrix) -> Mod2Matrix:
-    return tuple(tuple(sum(map(mul, row, col)) % 2 for col in zip(*b)) for row in a)
-
-
-def _closure(gens: list[Mod2Matrix], n: int) -> tuple[Mod2Matrix, ...]:
-    moves = [lambda m, g=g: _mat2_mul(m, g) for g in gens]
-    overflow = InternalCheckError("automorphism closure exceeded the expected bound")
-    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return tuple(orbit(identity, moves, _AUT_CLOSURE_BOUND, overflow))
-
-
 @dataclass(frozen=True)
 class AutAction:
     """Fundamental-group automorphisms acting on degree-one mod-2
-    cohomology (they fix the degree-two class of a surface).
-
-    Over its at most four classes the action is tabulated once per base:
-    ``images[bits]`` is the image of ``bits`` under each closure element,
-    in closure order, and ``minima[bits]`` the least class of its orbit.
+    cohomology (they fix the degree-two class of a surface), kept as
+    orbits: ``orbits[bits]`` is the sorted orbit of each of the at most
+    four classes, so its least class comes first.
     """
 
     base: str
-    gens: tuple[Mod2Matrix, ...]
-    closure: tuple[Mod2Matrix, ...]
-    images: dict[Mod2Class, tuple[Mod2Class, ...]] = field(compare=False, repr=False)
-    minima: dict[Mod2Class, Mod2Class] = field(compare=False, repr=False)
+    orbits: dict[Mod2Class, tuple[Mod2Class, ...]] = field(compare=False, repr=False)
 
     def orbit_min(self, bits: Mod2Class) -> Mod2Class:
-        return self.minima[bits]
+        return self.orbits[bits][0]
 
     def orbit(self, bits: Mod2Class) -> tuple[Mod2Class, ...]:
-        return tuple(sorted(set(self.images[bits])))
+        return self.orbits[bits]
 
 
 @lru_cache(maxsize=None)
 def aut_action(base: str) -> AutAction:
-    """The induced action on degree-one mod-2 classes, built once per
-    base (on first use) from the generators in ``_ACTIONS``.
+    """The orbits of the induced action on degree-one mod-2 classes,
+    walked once per base (on first use) with the generators in
+    ``_ACTIONS`` as moves.
 
     A mod-2 class is a real character's row of angles, doubled, read at
     the positions ``mod2_sources`` names (so the Klein bottle's alpha,
     the torsion bit, comes before beta, the free bit).  Each generator
     is reduced mod 2 and read at those positions; it acts on rows, so
-    its transpose acts on the column vectors ``AutAction`` applies.
+    its transpose acts on the column vectors of the classes.
     """
     if base not in _ACTIONS:
         raise DomainError(f"no automorphism action catalogued for base {base!r}")
     data = base_data(base)
     pos = [i if where == "free" else data.ab.group.free_rank + i for where, i in data.mod2_sources]
     gens = [tuple(tuple(m[j][i] % 2 for j in pos) for i in pos) for m in _ACTIONS[base]]
-    closure = _closure(gens, len(pos))
-    images = {bits: tuple(_mat2_apply(m, bits) for m in closure) for bits in _line_classes(base)}
-    minima = {bits: min(row) for bits, row in images.items()}
-    return AutAction(base, tuple(gens), closure, images, minima)
+    moves = [partial(_mat2_apply, g) for g in gens]
+    classes = _line_classes(base)
+    overflow = InternalCheckError("an automorphism orbit outgrew the mod-2 classes")
+    orbits = {bits: tuple(sorted(orbit(bits, moves, len(classes), overflow))) for bits in classes}
+    return AutAction(base, orbits)
 
 
 # ======================================================================
@@ -224,7 +210,7 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     means in the stable range) by the state walk of
     ``_realized_values``: four copies of a line change nothing, so at
     most three copies of each nontrivial class are ever needed.  Checks
-    against the ``aut_action`` tables that the realized pairs are closed
+    against the ``aut_action`` orbits that the realized pairs are closed
     under the automorphism action, groups them into orbits and returns
     one class per orbit, deterministically ordered.  Each class's
     realizer is built from ``line_with_w1`` lines and re-checked with
@@ -244,7 +230,7 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     action = aut_action(base)
     realized = _realized_values(base, s)
     for (w1, w2) in realized:
-        for image in action.images[w1]:
+        for image in action.orbit(w1):
             if (image, w2) not in realized:
                 raise InternalCheckError(
                     "realized Whitney data is not closed under the automorphism action"
@@ -317,7 +303,7 @@ def classification_report(base: str, total_dim: int) -> ClassificationReport:
 def stably_diffeomorphic(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
     """Whether the total spaces are stably diffeomorphic: same base and
     Whitney data in one automorphism orbit (read off the orbit minima
-    tabulated by ``aut_action``)."""
+    of ``aut_action``)."""
     if b1.base != b2.base:
         raise DomainError("stable comparison needs a common base")
     if b1.base not in _SURFACE_BASES:

@@ -11,8 +11,9 @@ k.  The module computes H^1 of that action three independent ways:
   divides exactly; non-divisibility is a checked internal error),
 * for prime k, a two-dimension count p^(fixdim_p - fixdim_q).
 
-It also produces the coinvariant lattice and a sufficient-condition
-certificate for vanishing of H^1.
+It also gives a sufficient-condition certificate for vanishing of H^1,
+and keeps the coinvariant group Z^n / im(g0 - 1) as
+``GLattice.coinvariant_group``.
 
 A lattice is made from g0 alone and checks it once, when it is made;
 its rank and order are read off g0.  Every route works from the same
@@ -182,17 +183,6 @@ def h1_triviality_certificate(lat: GLattice, q: int) -> TrivialityCertificate:
         if lat.fixed_dim(p) != fixdim_q:
             return TrivialityCertificate.INCONCLUSIVE
     return TrivialityCertificate.PROVEN_TRIVIAL
-
-
-def coinvariants(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
-    """The coinvariant lattice Z^n / im(g0 - 1) and its torsion part.
-
-    The torsion of the coinvariants is another model of H^1 of the
-    action; ``tests`` and the mapping-torus homology route both lean on
-    that identification.
-    """
-    full = lat.coinvariant_group
-    return full, full.torsion_subgroup()
 
 
 @dataclass(frozen=True)

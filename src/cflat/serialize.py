@@ -40,7 +40,7 @@ def _digit_limit(what: str):
 
 
 def parse_fraction(value) -> Fraction:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _FRACTION_RE.match(value.strip()):
         try:
@@ -128,6 +128,8 @@ def bundle_to_json(bundle: FlatBundleSpec) -> dict:
 def bundle_from_json(obj) -> FlatBundleSpec:
     if not isinstance(obj, dict) or "base" not in obj or "summands" not in obj:
         raise DomainError('a bundle is {"base": ..., "summands": [...]}')
+    if not isinstance(obj["base"], str):
+        raise DomainError("bundle base must be a string")
     if not isinstance(obj["summands"], list):
         raise DomainError("summands must be an array")
     return FlatBundleSpec(

@@ -1,7 +1,7 @@
 """Exact integer linear algebra: matrices, Smith normal form, derived
 lattice operations, and finitely generated abelian groups."""
 
-from .abelian import AbelianGroup, divisor_chain
+from .abelian import AbelianGroup
 from .backend import KERNEL_BACKEND
 from .matrix import IntMatrix
 from .snf import (
@@ -21,7 +21,6 @@ __all__ = [
     "KERNEL_BACKEND",
     "SNFDecomposition",
     "cokernel",
-    "divisor_chain",
     "fixed_card_mod",
     "inverse_unimodular",
     "kernel_basis",

@@ -4,39 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Iterable
 
 from ..errors import DomainError
-
-
-def divisor_chain(values: Iterable[int]) -> tuple[int, ...]:
-    """Normalize torsion coefficients into an ascending divisor chain.
-
-    Unit factors are dropped, zeros are rejected (a zero is a free
-    summand, not torsion), and the result satisfies d1 | d2 | ... .
-
-    >>> divisor_chain([2, 3])
-    (6,)
-    >>> divisor_chain([4, 6])
-    (2, 12)
-    """
-    ds = [abs(v) for v in values]
-    if any(v == 0 for v in ds):
-        raise DomainError("zero is not a torsion coefficient")
-    ds = [v for v in ds if v != 1]
-    # pairwise gcd/lcm exchange until the chain condition holds
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-    ds = [v for v in ds if v != 1]
-    ds.sort()
-    return tuple(ds)
 
 
 @dataclass(frozen=True)
@@ -60,11 +29,6 @@ class AbelianGroup:
             if b % a:
                 raise DomainError(f"torsion {ds} is not a divisor chain")
         object.__setattr__(self, "torsion", ds)
-
-    @classmethod
-    def from_invariants(cls, free_rank: int, coefficients: Iterable[int]) -> "AbelianGroup":
-        """Build from arbitrary (unordered, unnormalized) coefficients."""
-        return cls(free_rank, divisor_chain(coefficients))
 
     @property
     def is_trivial(self) -> bool:

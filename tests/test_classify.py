@@ -50,34 +50,33 @@ F = Fraction
 
 
 def test_aut_action_orders():
-    assert len(aut_action("S1").closure) == 1
-    assert len(aut_action("T2").closure) == 6  # all of GL(2, Z/2)
-    assert len(aut_action("K").closure) == 2
+    """The orbits of the degree-one mod-2 classes, pinned by hand: each
+    class maps to the whole of its orbit."""
+    expected = {
+        "S1": [((0,),), ((1,),)],
+        "T2": [((0, 0),), ((0, 1), (1, 0), (1, 1))],
+        "K": [((0, 0),), ((0, 1),), ((1, 0), (1, 1))],
+    }
+    for base, orbits in expected.items():
+        assert aut_action(base).orbits == {bits: orb for orb in orbits for bits in orb}, base
     with pytest.raises(DomainError):
         aut_action("G1")
     assert aut_action("T2") is aut_action("T2")  # built once per base
-    # each closure is the group the hand-written mod-2 generators generate
-    for base, gens in AUT_MOD2_GENERATORS.items():
-        assert set(aut_action(base).closure) == mod2_closure(gens)
 
 
 def test_aut_action_tables_match_the_closure():
-    """The per-base tables are the closure applied class by class: each
-    class's images in closure order, and the least of them."""
-    for base in ("S1", "T2", "K"):
+    """Each class's orbit is its image under every element of the group
+    the hand-written mod-2 generators generate, sorted, least first."""
+    for base, gens in AUT_MOD2_GENERATORS.items():
         action = aut_action(base)
-        assert set(action.images) == set(action.minima) == set(classify._line_classes(base))
+        assert set(action.orbits) == set(classify._line_classes(base))
         for bits in classify._line_classes(base):
-            images = tuple(classify._mat2_apply(m, bits) for m in action.closure)
-            assert action.images[bits] == images, (base, bits)
-            assert action.minima[bits] == min(images) == action.orbit_min(bits), (base, bits)
-            assert action.orbit(bits) == tuple(sorted(set(images))), (base, bits)
-
-
-def test_automorphism_closure_past_its_bound_raises(monkeypatch):
-    monkeypatch.setattr(classify, "_AUT_CLOSURE_BOUND", 5)
-    with pytest.raises(InternalCheckError, match="^automorphism closure exceeded the expected bound$"):
-        aut_action.__wrapped__("T2")  # the uncached build: GL(2, Z/2) has 6 elements
+            images = {
+                tuple(sum(r * b for r, b in zip(row, bits)) % 2 for row in m)
+                for m in mod2_closure(gens)
+            }
+            assert action.orbit(bits) == tuple(sorted(images)), (base, bits)
+            assert action.orbit_min(bits) == min(images), (base, bits)
 
 
 def test_aut_orbits_on_lines():

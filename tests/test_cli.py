@@ -318,6 +318,27 @@ def test_numbers_python_cannot_convert_exit_one(capsys):
         serialize.dump_json({"n": 10 ** (digits + 1)})
 
 
+def test_bundle_base_that_is_not_a_string_exits_one(capsys):
+    """A list or an object as a bundle's base is a rejected input, not a
+    crash in the cached base tables."""
+    line = '{"kind": "real", "free": ["1/2"]}'
+    for verb in ("affine-eq", "stable-eq"):
+        for base in ('["S1"]', '{"a": 1}'):
+            left = f'{{"base": {base}, "summands": [{line}]}}'
+            argv = (verb, "--left", left, "--right", '{"base": "S1", "summands": []}')
+            assert run_cli(capsys, *argv) == (1, "", "error: bundle base must be a string\n"), argv
+
+
+def test_boolean_angles_exit_one(capsys):
+    """JSON booleans are not angles: false is not read as 0, nor true as 1."""
+    right = '{"base": "S1", "summands": []}'
+    for value in ("false", "true"):
+        left = f'{{"base": "S1", "summands": [{{"free": [{value}]}}]}}'
+        message = f"error: not a rational number: {value.capitalize()}\n"
+        for verb in ("stable-eq", "affine-eq"):
+            assert run_cli(capsys, verb, "--left", left, "--right", right) == (1, "", message)
+
+
 def test_internal_check_exits_two(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise InternalCheckError("forced")

@@ -12,7 +12,6 @@ from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import (
     GLattice,
     TrivialityCertificate,
-    coinvariants,
     h1_card_formula,
     h1_card_prime_formula,
     h1_oracle,
@@ -159,12 +158,12 @@ def test_report_cross_checks():
 
 
 def test_coinvariants_torsion_is_h1():
-    full, torsion = coinvariants(make_glattice(NEG1))
+    full = make_glattice(NEG1).coinvariant_group
     assert full == AbelianGroup(0, (2,))
-    assert torsion == AbelianGroup(0, (2,))
-    full, torsion = coinvariants(make_glattice(IntMatrix.identity(2)))
+    assert full.torsion_subgroup() == AbelianGroup(0, (2,))
+    full = make_glattice(IntMatrix.identity(2)).coinvariant_group
     assert full == AbelianGroup(2, ())
-    assert torsion.is_trivial
+    assert full.torsion_subgroup().is_trivial
 
 
 def test_random_suite_all_routes_agree():
@@ -178,8 +177,8 @@ def test_random_suite_all_routes_agree():
             q for q in (2, 3, 5, 7, 11, 13) if lat.order % q and q != rep.q_used
         )
         assert h1_card_formula(lat, q2) == rep.cardinality
-        full, torsion = coinvariants(lat)
-        assert torsion == rep.group
+        full = lat.coinvariant_group
+        assert full.torsion_subgroup() == rep.group
         assert full.torsion == rep.group.torsion
 
 
