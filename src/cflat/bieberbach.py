@@ -607,22 +607,7 @@ def _build_catalog() -> dict[str, BieberbachGroupSpec]:
 
 _CATALOG = _build_catalog()
 
-CATALOG_NAMES: tuple[str, ...] = (
-    "S1",
-    "T2",
-    "T3",
-    "K",
-    "G1",
-    "G2",
-    "G3",
-    "G4",
-    "G5",
-    "G6",
-    "B1",
-    "B2",
-    "B3",
-    "B4",
-)
+CATALOG_NAMES: tuple[str, ...] = tuple(_CATALOG)
 
 
 def catalog() -> Mapping[str, BieberbachGroupSpec]:

@@ -15,12 +15,12 @@ each (at most 8 states over a surface).  Published class counts are
 cross-reported: when the oracle disagrees with a recorded count the
 disagreement is surfaced as data, never patched over.
 
-One table, ``_ACTIONS``, lists generators of each base's automorphism
-action on characters.  The affine-equivalence search walks their orbit
-on characters with the bounded breadth-first ``orbit`` of
-``cflat.orbit``.  ``aut_action`` reduces them mod 2 and keeps the
-action on degree-one mod-2 classes as its orbits, each walked with the
-same ``orbit`` from one class.
+Each base's record in ``cflat.flatbundle.SURFACES`` lists generators
+of its automorphism action on characters.  The affine-equivalence
+search walks their orbit on characters with the bounded breadth-first
+``orbit`` of ``cflat.orbit``.  ``aut_action`` reduces them mod 2 and
+keeps the action on degree-one mod-2 classes as its orbits, each walked
+with the same ``orbit`` from one class.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from operator import mul
 
 from .errors import DomainError, InternalCheckError
 from .flatbundle import (
+    SURFACES,
     FlatBundleSpec,
     LineRep,
     Mod2Class,
@@ -42,10 +43,10 @@ from .flatbundle import (
     mod2_add,
     sw_vector,
 )
-from .glattice import _prime_divisors
 from .orbit import orbit
+from .zlinalg.snf import _prime_divisors
 
-_SURFACE_BASES = ("S1", "T2", "K")
+_SURFACE_BASES = tuple(SURFACES)
 _DENOM_BOUND = 64
 _AFFINE_ORBIT_BOUND = 2_000_000
 _EPI_BOUND = 2_000_000
@@ -55,18 +56,6 @@ _FIBER_DIM_BOUND = 1000
 # ======================================================================
 # automorphisms of the base, on characters and on mod-2 cohomology
 # ======================================================================
-
-# Generators of the base's automorphism action on characters: integer
-# matrices acting on a character's row of angles (free angles, then
-# torsion angles) by v -> v m mod 1.  The torus takes a shear, a
-# rotation and a reflection, which generate GL2(Z); an orbit under a
-# finite action needs no inverses.  The Klein bottle takes f -> -f and
-# f -> f + t on (free f, torsion t); the circle takes f -> -f.
-_ACTIONS = {
-    "T2": (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, 1))),
-    "K": (((-1, 0), (0, 1)), ((1, 0), (1, 1))),
-    "S1": (((-1,),),),
-}
 
 Mod2Matrix = tuple[tuple[int, ...], ...]
 
@@ -96,20 +85,20 @@ class AutAction:
 @lru_cache(maxsize=None)
 def aut_action(base: str) -> AutAction:
     """The orbits of the induced action on degree-one mod-2 classes,
-    walked once per base (on first use) with the generators in
-    ``_ACTIONS`` as moves.
+    walked once per base (on first use) with the base's ``SURFACES``
+    generators as moves.
 
     A mod-2 class is a real character's row of angles, doubled, read at
-    the positions ``mod2_sources`` names (so the Klein bottle's alpha,
-    the torsion bit, comes before beta, the free bit).  Each generator
-    is reduced mod 2 and read at those positions; it acts on rows, so
-    its transpose acts on the column vectors of the classes.
+    the base's ``mod2_positions`` (so the Klein bottle's alpha, the
+    torsion bit at position 1, comes before beta, the free bit at
+    position 0).  Each generator is reduced mod 2 and read at those
+    positions; it acts on rows, so its transpose acts on the column
+    vectors of the classes.
     """
-    if base not in _ACTIONS:
+    if base not in SURFACES:
         raise DomainError(f"no automorphism action catalogued for base {base!r}")
-    data = base_data(base)
-    pos = [i if where == "free" else data.ab.group.free_rank + i for where, i in data.mod2_sources]
-    gens = [tuple(tuple(m[j][i] % 2 for j in pos) for i in pos) for m in _ACTIONS[base]]
+    pos = base_data(base).mod2_positions
+    gens = [tuple(tuple(m[j][i] % 2 for j in pos) for i in pos) for m in SURFACES[base].actions]
     moves = [partial(_mat2_apply, g) for g in gens]
     classes = _line_classes(base)
     overflow = InternalCheckError("an automorphism orbit outgrew the mod-2 classes")
@@ -123,22 +112,15 @@ def aut_action(base: str) -> AutAction:
 
 
 def _line_classes(base: str) -> list[Mod2Class]:
-    d = len(base_data(base).mod2_sources)
+    d = len(base_data(base).mod2_positions)
     out = []
     for code in range(1 << d):
         out.append(tuple((code >> i) & 1 for i in range(d)))
     return out
 
 
-_LINE_NAMES = {
-    "S1": {(0,): "Theta", (1,): "mu"},
-    "T2": {(0, 0): "Theta", (1, 0): "mu1", (0, 1): "mu2", (1, 1): "mu1mu2"},
-    "K": {(0, 0): "Theta", (1, 0): "lam1", (0, 1): "lam2", (1, 1): "lam1lam2"},
-}
-
-
 def line_class_name(base: str, bits: Mod2Class) -> str:
-    return _LINE_NAMES[base][bits]
+    return SURFACES[base].line_names[sum(bit << i for i, bit in enumerate(bits))]
 
 
 @dataclass(frozen=True)
@@ -174,7 +156,7 @@ def _realized_values(base: str, s: int) -> dict[tuple, tuple[Mod2Class, ...]]:
     """
     theta, *nontrivial = _line_classes(base)
     table = cup_table(base)
-    surface = base_data(base).spec.dim == 2
+    surface = base_data(base).ab.spec.dim == 2
     best: dict[tuple, tuple[int, tuple[Mod2Class, ...]]] = {(theta, 0 if surface else None): (0, ())}
     for bits in nontrivial:
         walked = {}
@@ -218,8 +200,7 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     """
     if base not in _SURFACE_BASES:
         raise DomainError(f"classification implemented over {_SURFACE_BASES}")
-    data = base_data(base)
-    dim = data.spec.dim
+    dim = base_data(base).ab.spec.dim
     s = total_dim - dim
     if s < 1:
         raise DomainError(f"total dimension {total_dim} does not exceed base dimension {dim}")
@@ -354,8 +335,8 @@ def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
     Two sums are affinely equivalent when some automorphism of the
     base group pulls one list of characters onto the other up to
     reordering and per-summand complex conjugation.  The automorphisms
-    are the generators in ``_ACTIONS``, acting on each character's row
-    of angles; their orbit is walked on sorted states and the walk stops
+    are the base's ``SURFACES`` generators, acting on each character's
+    row of angles; their orbit is walked on sorted states and the walk stops
     as soon as it meets the second bundle.  Everything is exact rational
     arithmetic.
     """
@@ -367,7 +348,7 @@ def affine_equivalent(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
         _denominator([v for rep in b.summands for v in rep.free + rep.torsion])
     if sorted(rep.kind for rep in b1.summands) != sorted(rep.kind for rep in b2.summands):
         return False
-    moves = [partial(_move, tuple(zip(*m))) for m in _ACTIONS[b1.base]]
+    moves = [partial(_move, tuple(zip(*m))) for m in SURFACES[b1.base].actions]
     overflow = InternalCheckError("orbit search outgrew its theoretical bound")
     start, target = (_state((r.kind, r.free + r.torsion) for r in b.summands) for b in (b1, b2))
     walk = orbit(start, moves, _AFFINE_ORBIT_BOUND, overflow)

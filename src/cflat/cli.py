@@ -44,7 +44,7 @@ from .classify import (
     torus_moduli_canonical,
 )
 from .errors import DomainError, InternalCheckError
-from .flatbundle import mod2_str, sw_vector
+from .flatbundle import SURFACES, mod2_str, sw_vector
 from .glattice import h1_report, make_glattice
 from .zlinalg import smith_normal_form
 
@@ -63,9 +63,16 @@ def _arg_text(value: str) -> str:
         try:
             with open(value[1:], "r", encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read {value[1:]!r}: {exc}") from None
     return value
+
+
+def _stdin_text() -> str:
+    try:
+        return sys.stdin.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"cannot read stdin: {exc}") from None
 
 
 def _matrix_arg(value: str):
@@ -82,7 +89,7 @@ def _bundle_arg(value: str):
 
 
 def _cmd_snf(args) -> dict:
-    text = args.matrix if args.matrix is not None else sys.stdin.read()
+    text = args.matrix if args.matrix is not None else _stdin_text()
     m = _matrix_arg(text)
     dec = smith_normal_form(m)
     dec.check()
@@ -258,7 +265,7 @@ def build_parser() -> _Parser:
     p.set_defaults(run=_cmd_homology)
 
     p = sub.add_parser("classify", help="diffeomorphism classes over a base")
-    p.add_argument("--base", required=True, choices=("S1", "T2", "K"))
+    p.add_argument("--base", required=True, choices=tuple(SURFACES))
     p.add_argument("--dim", required=True, type=int, help="total dimension")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(run=_cmd_classify)

@@ -10,7 +10,9 @@ From these the module computes first and second Stiefel-Whitney data,
 first Chern classes of complex line bundles (valued in Hom of the
 torsion subgroup into Z/holonomy-order), orientation characters,
 structure statements for bundles with cyclic total holonomy, and the
-mod-2 cup tables of the one- and two-dimensional bases.
+mod-2 cup tables of the one- and two-dimensional bases.  What is stated
+by hand about those three bases (mod-2 basis, class names, cup pairing,
+automorphism generators) is one record each in ``SURFACES``.
 
 The public ``w1_of_line`` and ``c1_of_line`` check their input, as a
 ``FlatBundleSpec`` checks its summands; ``_w1_bits`` and ``_c1`` trust
@@ -26,7 +28,6 @@ from math import gcd
 
 from .bieberbach import (
     AbelianizationData,
-    BieberbachGroupSpec,
     H1Element,
     _cyclic_powers,
     abelianization,
@@ -50,54 +51,92 @@ _HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
+class Surface:
+    """What cflat states by hand about one of the bases it classifies
+    over: the circle, the torus and the Klein bottle.
+
+    ``mod2_labels`` name the degree-one mod-2 basis and
+    ``mod2_positions`` place each basis class in a character's row of
+    angles (free angles, then torsion angles).  ``line_names[code]``
+    names the line class whose bits, read as a binary number with the
+    first bit least, are ``code``.  ``cup`` is the mod-2 cup pairing on
+    that basis.  ``actions`` generate the base's automorphism action on
+    characters: integer matrices acting on a row of angles by
+    v -> v m mod 1.  An orbit under a finite action needs no inverses.
+    """
+
+    mod2_labels: tuple[str, ...]
+    mod2_positions: tuple[int, ...]
+    line_names: tuple[str, ...]
+    cup: tuple[tuple[int, ...], ...]
+    actions: tuple[tuple[tuple[int, ...], ...], ...]
+
+
+SURFACES = {
+    # the circle has no degree-2 cohomology; it takes f -> -f
+    "S1": Surface(("x",), (0,), ("Theta", "mu"), ((0,),), (((-1,),),)),
+    # torus: x.y = top, squares vanish; a shear, a rotation and a
+    # reflection generate GL2(Z)
+    "T2": Surface(
+        ("x", "y"),
+        (0, 1),
+        ("Theta", "mu1", "mu2", "mu1mu2"),
+        ((0, 1), (1, 0)),
+        (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, 1))),
+    ),
+    # flat Klein bottle: alpha is dual to the torsion generator t, beta to
+    # the free generator f; alpha^2 = alpha.beta = top, beta^2 = 0 (dual
+    # to the mod-2 intersection form); it takes f -> -f and f -> f + t
+    "K": Surface(
+        ("alpha", "beta"),
+        (1, 0),
+        ("Theta", "lam1", "lam2", "lam1lam2"),
+        ((1, 1), (1, 0)),
+        (((-1, 0), (0, 1)), ((1, 0), (1, 1))),
+    ),
+}
+
+
+@dataclass(frozen=True)
 class BaseData:
     """A catalog base with its homology and mod-2 cohomology layout.
 
-    ``mod2_sources`` lists, in display order, where each bit of a
-    degree-one mod-2 class lives: ("free", i) for the i-th free
-    generator, ("tors", j) for the j-th torsion generator (only
-    even-order torsion carries a bit).
+    ``mod2_positions`` lists, in display order, where each bit of a
+    degree-one mod-2 class lives in a character's row of angles (free
+    angles, then torsion angles); only even-order torsion carries a bit.
     """
 
-    spec: BieberbachGroupSpec
     ab: AbelianizationData
-    holonomy: tuple[IntMatrix, ...]
+    holonomy_order: int
     mod2_labels: tuple[str, ...]
-    mod2_sources: tuple[tuple[str, int], ...]
-
-
-_FREE_LABELS = ("x", "y", "z", "w")
+    mod2_positions: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
 def base_data(name: str) -> BaseData:
+    """The base's layout: a surface's from ``SURFACES``; any other base
+    names its free classes x, y, z and its even torsion classes s1, s2,
+    ... in row order."""
     spec = catalog_group(name)
     ab = abelianization(spec)
-    hol = holonomy_group(spec)
-    if name == "K":
-        # the conventional surface basis: alpha dual to the torsion
-        # generator, beta dual to the free generator
-        labels = ("alpha", "beta")
-        sources = (("tors", 0), ("free", 0))
+    surface = SURFACES.get(name)
+    if surface is not None:
+        labels, positions = surface.mod2_labels, surface.mod2_positions
     else:
-        labels_list = []
-        sources_list = []
-        for i in range(ab.group.free_rank):
-            labels_list.append(_FREE_LABELS[i] if i < 4 else f"x{i}")
-            sources_list.append(("free", i))
-        for j, d in enumerate(ab.group.torsion):
-            if d % 2 == 0:
-                labels_list.append(f"s{j + 1}")
-                sources_list.append(("tors", j))
-        labels = tuple(labels_list)
-        sources = tuple(sources_list)
+        r = ab.group.free_rank
+        even = [j for j, d in enumerate(ab.group.torsion) if d % 2 == 0]
+        labels = tuple("xyz"[i] for i in range(r)) + tuple(f"s{j + 1}" for j in even)
+        positions = tuple(range(r)) + tuple(r + j for j in even)
     return BaseData(
-        spec=spec, ab=ab, holonomy=hol, mod2_labels=labels, mod2_sources=sources
+        ab=ab,
+        holonomy_order=len(holonomy_group(spec)),
+        mod2_labels=labels,
+        mod2_positions=positions,
     )
 
 
 def mod2_zero(base: str) -> Mod2Class:
-    return tuple(0 for _ in base_data(base).mod2_sources)
+    return (0,) * len(base_data(base).mod2_positions)
 
 
 def mod2_add(a: Mod2Class, b: Mod2Class) -> Mod2Class:
@@ -191,24 +230,20 @@ class FlatBundleSpec:
 
     @property
     def total_dim(self) -> int:
-        return base_data(self.base).spec.dim + self.rank
+        return base_data(self.base).ab.spec.dim + self.rank
 
 
 def line_with_w1(base: str, bits: Mod2Class) -> LineRep:
     """The real character whose degree-one class has the given bits."""
     data = base_data(base)
-    if len(bits) != len(data.mod2_sources):
+    if len(bits) != len(data.mod2_positions):
         raise DomainError("bit-vector length mismatch")
-    g = data.ab.group
-    free = [_ZERO] * g.free_rank
-    tors = [_ZERO] * len(g.torsion)
-    for bit, (where, idx) in zip(bits, data.mod2_sources):
+    r = data.ab.group.free_rank
+    row = [_ZERO] * (r + len(data.ab.group.torsion))
+    for bit, pos in zip(bits, data.mod2_positions):
         if bit:
-            if where == "free":
-                free[idx] = _HALF
-            else:
-                tors[idx] = _HALF
-    return LineRep("real", tuple(free), tuple(tors))
+            row[pos] = _HALF
+    return LineRep("real", tuple(row[:r]), tuple(row[r:]))
 
 
 def _evaluate(rep: LineRep, el: H1Element) -> Fraction:
@@ -236,11 +271,8 @@ def w1_of_line(base: str, rep: LineRep) -> Mod2Class:
 
 def _w1_bits(base: str, rep: LineRep) -> Mod2Class:
     """w1 of a real character already validated against the base."""
-    bits = []
-    for where, idx in base_data(base).mod2_sources:
-        v = rep.free[idx] if where == "free" else rep.torsion[idx]
-        bits.append(1 if v == _HALF else 0)
-    return tuple(bits)
+    row = rep.free + rep.torsion
+    return tuple(1 if row[pos] == _HALF else 0 for pos in base_data(base).mod2_positions)
 
 
 @dataclass(frozen=True)
@@ -281,7 +313,7 @@ def c1_of_line(base: str, rep: LineRep) -> C1Class:
 def _c1(base: str, rep: LineRep) -> C1Class:
     """c1 of a complex character already validated against the base."""
     data = base_data(base)
-    k = len(data.holonomy)
+    k = data.holonomy_order
     values = []
     for angle, d in zip(rep.torsion, data.ab.group.torsion):
         scaled = angle * k
@@ -324,18 +356,18 @@ def det_line(bundle: FlatBundleSpec) -> LineRep:
 
 @dataclass(frozen=True)
 class CupTable:
-    """Mod-2 cup pairing H^1 x H^1 -> H^2 = Z/2 on a fixed basis.
+    """Mod-2 cup pairing H^1 x H^1 -> H^2 = Z/2 on the base's mod-2
+    basis (the order of ``mod2_labels``).
 
     ``pairing[i][j]`` is the top-class coefficient of the product of
     basis classes i and j.
     """
 
     base: str
-    labels: tuple[str, ...]
     pairing: tuple[tuple[int, ...], ...]
 
     def cup(self, a: Mod2Class, b: Mod2Class) -> int:
-        n = len(self.labels)
+        n = len(self.pairing)
         if len(a) != n or len(b) != n:
             raise DomainError("class length does not match the cup table")
         total = 0
@@ -347,30 +379,15 @@ class CupTable:
         return total % 2
 
 
-_CUP_PAIRINGS = {
-    # torus: x.y = top, squares vanish
-    "T2": ((0, 1), (1, 0)),
-    # flat Klein bottle in the (alpha, beta) basis: alpha^2 = top,
-    # alpha.beta = top, beta^2 = 0 (dual to the mod-2 intersection form)
-    "K": ((1, 1), (1, 0)),
-    # the circle has no degree-2 cohomology
-    "S1": ((0,),),
-}
-
-
 def tangent_w1(base: str) -> Mod2Class:
     """w1 of the tangent bundle of the base: the determinant character
     of the holonomy representation, pushed to the homology basis."""
     data = base_data(base)
-    spec = data.spec
-    screws = spec.screw_gens()
-    n = spec.dim
-    vals = [0] * n + [(0 if g.linear.det() == 1 else 1) for g in screws]
+    spec = data.ab.spec
+    vals = [0] * spec.dim + [(0 if g.linear.det() == 1 else 1) for g in spec.screw_gens()]
     free_bits, tors_bits = data.ab.functional_on_basis(vals, 2)
-    bits = []
-    for where, idx in data.mod2_sources:
-        bits.append(free_bits[idx] % 2 if where == "free" else tors_bits[idx] % 2)
-    return tuple(bits)
+    row = free_bits + tors_bits
+    return tuple(row[pos] for pos in data.mod2_positions)
 
 
 @lru_cache(maxsize=None)
@@ -383,16 +400,16 @@ def cup_table(base: str) -> CupTable:
     surfaces.
     """
     data = base_data(base)
-    if base not in _CUP_PAIRINGS:
+    if base not in SURFACES:
         raise DomainError(f"no cup table for base {base!r} (dimension > 2)")
-    pairing = _CUP_PAIRINGS[base]
-    table = CupTable(base=base, labels=data.mod2_labels, pairing=pairing)
-    n = len(table.labels)
+    pairing = SURFACES[base].cup
+    table = CupTable(base=base, pairing=pairing)
+    n = len(pairing)
     for i in range(n):
         for j in range(n):
             if pairing[i][j] != pairing[j][i]:
                 raise InternalCheckError("cup pairing is not symmetric")
-    if data.spec.dim == 2:
+    if data.ab.spec.dim == 2:
         det = (
             pairing[0][0] * pairing[1][1] - pairing[0][1] * pairing[1][0]
         ) % 2
@@ -431,7 +448,7 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
     classes; over the circle it is None.
     """
     base = bundle.base
-    dim = base_data(base).spec.dim
+    dim = base_data(base).ab.spec.dim
     if dim > 2:
         raise DomainError("Whitney vectors are computed over bases of dimension <= 2")
     table = cup_table(base)
@@ -459,7 +476,7 @@ def total_holonomy(bundle: FlatBundleSpec) -> tuple[tuple[IntMatrix, tuple[Fract
     """Closure of (base linear part, summand angles) over the group
     generators -- the holonomy image of the total space."""
     data = base_data(bundle.base)
-    spec = data.spec
+    spec = data.ab.spec
     moves = []
     for idx, g in enumerate(spec.gens):
         el = data.ab.gen_image(idx)

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalCheckError
 from .zlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis, rank_mod
-from .zlinalg.snf import _is_prime, solve_columns
+from .zlinalg.snf import _is_prime, _prime_divisors, solve_columns
 
 if TYPE_CHECKING:
     from .bieberbach import BieberbachGroupSpec
@@ -241,21 +241,6 @@ def _require_coprime_prime(q: int, k: int) -> None:
         raise DomainError(f"auxiliary modulus must be prime, got {q}")
     if k % q == 0:
         raise DomainError(f"auxiliary prime {q} divides the order {k}")
-
-
-def _prime_divisors(k: int) -> list[int]:
-    out = []
-    n = k
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _smallest_coprime_prime(k: int) -> int:

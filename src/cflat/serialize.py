@@ -138,10 +138,12 @@ def bundle_from_json(obj) -> FlatBundleSpec:
 
 
 def loads(text: str):
+    """Parse JSON text; nesting past the interpreter's recursion limit is
+    invalid JSON too."""
     with _digit_limit("a JSON number"):
         try:
             return json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise DomainError(f"invalid JSON: {exc}") from None
 
 

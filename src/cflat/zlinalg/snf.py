@@ -153,6 +153,22 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _prime_divisors(k: int) -> list[int]:
+    """The distinct primes dividing k, ascending, by trial division."""
+    out = []
+    n = k
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def rank_mod(m: IntMatrix, p: int) -> int:
     """Rank of ``m`` over the prime field F_p."""
     if not _is_prime(p):

@@ -244,8 +244,9 @@ AFFINE_MOVES = {
 
 # The hand-written mod-2 generators: the oracle for cflat.classify.aut_action,
 # which derives its generators from the character action.  They act on
-# column vectors in the mod2_sources basis: the torus takes all of
-# GL(2, Z/2), the Klein bottle (alpha, beta) -> (alpha, alpha + beta).
+# column vectors in the base's mod-2 basis, the order of its mod2_labels:
+# the torus takes all of GL(2, Z/2), the Klein bottle
+# (alpha, beta) -> (alpha, alpha + beta).
 
 AUT_MOD2_GENERATORS = {
     "S1": (((1,),),),
@@ -294,7 +295,7 @@ def realized_values_oracle(base: str, s: int) -> dict:
 def realized_values_search_oracle(base: str, s: int) -> dict:
     theta, *nontrivial = _line_classes(base)
     table = cup_table(base)
-    surface = base_data(base).spec.dim == 2
+    surface = base_data(base).ab.spec.dim == 2
     best = {}
     for counts in product(range(4), repeat=len(nontrivial)):
         n = sum(counts)
@@ -320,7 +321,7 @@ def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
     firsts = [w1_of_line(base, rep) for rep in bundle.summands if rep.kind == "real"]
     c1s = tuple(c1_of_line(base, rep) for rep in bundle.summands if rep.kind == "complex")
     w1 = tuple(sum(col) % 2 for col in zip(*firsts)) if firsts else mod2_zero(base)
-    if base_data(base).spec.dim == 1:
+    if base_data(base).ab.spec.dim == 1:
         return w1, None, c1s
     table = cup_table(base)
     w2 = sum(table.cup(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])

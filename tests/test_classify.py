@@ -35,6 +35,7 @@ from cflat.classify import (
     dim4_table,
     inequivalent_family,
     klein_rho_canonical,
+    line_class_name,
     stably_diffeomorphic,
     torus_moduli_canonical,
 )
@@ -77,6 +78,18 @@ def test_aut_action_tables_match_the_closure():
             }
             assert action.orbit(bits) == tuple(sorted(images)), (base, bits)
             assert action.orbit_min(bits) == min(images), (base, bits)
+
+
+def test_line_class_names():
+    """Every line class of the three bases by name; the Klein bottle's
+    lam1 is its torsion class alpha and lam2 its free class beta."""
+    expected = {
+        "S1": {(0,): "Theta", (1,): "mu"},
+        "T2": {(0, 0): "Theta", (1, 0): "mu1", (0, 1): "mu2", (1, 1): "mu1mu2"},
+        "K": {(0, 0): "Theta", (1, 0): "lam1", (0, 1): "lam2", (1, 1): "lam1lam2"},
+    }
+    for base, names in expected.items():
+        assert {bits: line_class_name(base, bits) for bits in classify._line_classes(base)} == names, base
 
 
 def test_aut_orbits_on_lines():

@@ -318,6 +318,42 @@ def test_numbers_python_cannot_convert_exit_one(capsys):
         serialize.dump_json({"n": 10 ** (digits + 1)})
 
 
+def test_input_that_is_not_utf8_exits_one(tmp_path, monkeypatch, capsys):
+    """A file argument or stdin that is not UTF-8 is a rejected input:
+    one error line, exit 1, nothing on stdout."""
+    import io
+
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe[[1]]")
+    bundle = '{"base": "S1", "summands": []}'
+    for argv in (
+        ("snf", "--matrix", f"@{bad}"),
+        ("h1", "--g0", f"@{bad}"),
+        ("stable-eq", "--left", f"@{bad}", "--right", bundle),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"error: cannot read {str(bad)!r}: 'utf-8' codec") and err.count("\n") == 1, err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8", errors="strict"))
+    code, out, err = run_cli(capsys, "snf")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read stdin: 'utf-8' codec") and err.count("\n") == 1, err
+
+
+def test_json_nested_past_the_recursion_limit_exits_one(tmp_path, capsys):
+    """JSON nested deeper than the interpreter can parse is invalid JSON:
+    one error line, exit 1, nothing on stdout."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 50_000 + "]" * 50_000)
+    for argv in (
+        ("snf", "--matrix", f"@{deep}"),
+        ("affine-eq", "--left", f"@{deep}", "--right", f"@{deep}"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: invalid JSON: maximum recursion depth exceeded") and err.count("\n") == 1, err
+
+
 def test_bundle_base_that_is_not_a_string_exits_one(capsys):
     """A list or an object as a bundle's base is a rejected input, not a
     crash in the cached base tables."""

@@ -5,7 +5,9 @@ The sweep covers every verb and its rejections; ``classify`` on S1, T2,
 K and G1 at total dimensions 1 to 41, in JSON and TSV; ``homology`` on
 every catalog group and an unknown name; ``moduli`` with the wrong
 angle counts; small ``snf`` and ``h1`` matrices; ``bound`` at its caps;
-``family`` and ``dim4-table``.  stderr is not pinned.
+``family`` and ``dim4-table``.  stderr is not pinned by digest, but every
+argv that exits 1 writes exactly one ``error: `` line to it, and every
+argv that exits 0 writes nothing.
 
 A change that means to change stdout says why, and records the sweep
 again with ``python tests/test_cli_golden.py`` (run from the repository
@@ -150,23 +152,34 @@ def golden_argvs() -> list[list[str]]:
     return argvs
 
 
-def run_sweep() -> dict[str, list]:
-    """argv (as a JSON list) -> [exit code, sha256 of stdout]."""
+def run_sweep(stderr: dict[str, str] | None = None) -> dict[str, list]:
+    """argv (as a JSON list) -> [exit code, sha256 of stdout]; each
+    argv's stderr text goes into ``stderr`` when one is given."""
     record = {}
     for argv in golden_argvs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
-        record[json.dumps(argv)] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+        key = json.dumps(argv)
+        record[key] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+        if stderr is not None:
+            stderr[key] = err.getvalue()
     return record
 
 
 def test_cli_stdout_and_exit_codes_match_the_record():
     recorded = json.loads(DIGESTS.read_text())
-    got = run_sweep()
+    stderr: dict[str, str] = {}
+    got = run_sweep(stderr)
     assert list(got) == list(recorded), "the sweep and the record list different argv"
     changed = [key for key in got if got[key] != recorded[key]]
     assert not changed, f"{len(changed)} argv changed stdout or exit code, first: {changed[:5]}"
+    for key, (code, _) in got.items():
+        err = stderr[key]
+        if code == 0:
+            assert err == "", key
+        else:
+            assert code == 1 and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), (key, err)
 
 
 if __name__ == "__main__":

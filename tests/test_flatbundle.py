@@ -46,8 +46,15 @@ def real_line(free, tors=()):
 
 
 def test_mod2_bases():
+    """Labels and row positions of each base's mod-2 basis; the Klein
+    bottle's alpha is its torsion bit (row position 1), beta its free bit."""
     assert base_data("K").mod2_labels == ("alpha", "beta")
-    assert base_data("K").mod2_sources == (("tors", 0), ("free", 0))
+    positions = {
+        "S1": (0,), "T2": (0, 1), "K": (1, 0), "T3": (0, 1, 2),
+        "G2": (0, 1, 2), "B1": (0, 1, 2), "G6": (0, 1),
+    }
+    for base, expected in positions.items():
+        assert base_data(base).mod2_positions == expected, base
     assert base_data("T2").mod2_labels == ("x", "y")
     assert base_data("T3").mod2_labels == ("x", "y", "z")
     assert base_data("G2").mod2_labels == ("x", "s1", "s2")
@@ -58,7 +65,7 @@ def test_mod2_bases():
 
 def test_line_w1_roundtrip():
     for base in ("S1", "T2", "T3", "K", "G2", "B1"):
-        d = len(base_data(base).mod2_sources)
+        d = len(base_data(base).mod2_positions)
         for code in range(1 << d):
             bits = tuple((code >> i) & 1 for i in range(d))
             rep = line_with_w1(base, bits)
@@ -216,7 +223,7 @@ def test_c1_past_the_holonomy_order_is_an_internal_error(monkeypatch, capsys):
 
     def cut_holonomy(name):
         data = table(name)
-        return dataclasses.replace(data, holonomy=data.holonomy[:1])
+        return dataclasses.replace(data, holonomy_order=1)
 
     monkeypatch.setattr(flatbundle, "base_data", cut_holonomy)
     line = LineRep("complex", (F(0),), (F(1, 2),))
@@ -271,9 +278,9 @@ def _random_line(rng, base):
     """A random real or complex character over the base; complex torsion
     angles have orders dividing the holonomy order, so c1 is defined."""
     if rng.random() < 0.5:
-        return line_with_w1(base, tuple(rng.randint(0, 1) for _ in base_data(base).mod2_sources))
+        return line_with_w1(base, tuple(rng.randint(0, 1) for _ in base_data(base).mod2_positions))
     data = base_data(base)
-    k = len(data.holonomy)
+    k = data.holonomy_order
     free = []
     for _ in range(data.ab.group.free_rank):
         q = rng.randint(1, 12)
@@ -322,7 +329,7 @@ def test_whitney_data_of_repeated_lines():
 def test_det_line_tracks_orientation_character():
     rng = random.Random(SEED + 40)
     for base in ("S1", "T2", "K"):
-        d = len(base_data(base).mod2_sources)
+        d = len(base_data(base).mod2_positions)
         for _ in range(40):
             n = rng.randint(1, 4)
             summands = tuple(
@@ -381,7 +388,7 @@ def test_tangent_structure():
 def test_total_holonomy_orders():
     rng = random.Random(SEED + 41)
     for base, base_order in (("T2", 1), ("K", 2), ("G3", 3)):
-        d = len(base_data(base).mod2_sources)
+        d = len(base_data(base).mod2_positions)
         for _ in range(25):
             n = rng.randint(0, 3)
             summands = tuple(
