@@ -25,7 +25,7 @@ with the same ``orbit`` from one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm
@@ -72,8 +72,7 @@ class AutAction:
     four classes, so its least class comes first.
     """
 
-    base: str
-    orbits: dict[Mod2Class, tuple[Mod2Class, ...]] = field(compare=False, repr=False)
+    orbits: dict[Mod2Class, tuple[Mod2Class, ...]]
 
     def orbit_min(self, bits: Mod2Class) -> Mod2Class:
         return self.orbits[bits][0]
@@ -103,7 +102,7 @@ def aut_action(base: str) -> AutAction:
     classes = _line_classes(base)
     overflow = InternalCheckError("an automorphism orbit outgrew the mod-2 classes")
     orbits = {bits: tuple(sorted(orbit(bits, moves, len(classes), overflow))) for bits in classes}
-    return AutAction(base, orbits)
+    return AutAction(orbits)
 
 
 # ======================================================================

@@ -15,8 +15,8 @@ Verbs:
 All verbs print deterministic JSON (sorted keys, two-space indent) on
 stdout; ``classify`` and ``dim4-table`` also take ``--format tsv``.
 Matrix and bundle arguments are inline JSON, or ``@path`` to read a
-file.  Exit status: 0 success, 1 rejected input, 2 internal
-consistency failure.
+file; stdin (``snf`` without ``--matrix``) is JSON only.  Exit status:
+0 success, 1 rejected input, 2 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _bundle_arg(value: str):
 
 
 def _cmd_snf(args) -> dict:
-    text = args.matrix if args.matrix is not None else _stdin_text()
-    m = _matrix_arg(text)
+    text = _arg_text(args.matrix) if args.matrix is not None else _stdin_text()
+    m = serialize.matrix_from_json(serialize.loads(text))
     dec = smith_normal_form(m)
     dec.check()
     return {

@@ -183,9 +183,6 @@ class LineRep:
     def rank(self) -> int:
         return 1 if self.kind == "real" else 2
 
-    def is_trivial(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
-
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """The angles as Fractions; Fraction inputs are kept as they are."""
@@ -363,7 +360,6 @@ class CupTable:
     basis classes i and j.
     """
 
-    base: str
     pairing: tuple[tuple[int, ...], ...]
 
     def cup(self, a: Mod2Class, b: Mod2Class) -> int:
@@ -403,7 +399,7 @@ def cup_table(base: str) -> CupTable:
     if base not in SURFACES:
         raise DomainError(f"no cup table for base {base!r} (dimension > 2)")
     pairing = SURFACES[base].cup
-    table = CupTable(base=base, pairing=pairing)
+    table = CupTable(pairing=pairing)
     n = len(pairing)
     for i in range(n):
         for j in range(n):

@@ -7,7 +7,10 @@ point anywhere).  Callers validate their matrices before handing them
 in; nothing here re-checks entries.
 
 The three elimination kernels (``*_inplace``) work on a list of list
-rows and destroy it.  ``matmul`` only reads its inputs, so an immutable
+rows and destroy it.  The Smith kernel reduces a leading block and
+carries any entries beside or below it through the same operations,
+which is how its caller gets the unimodular transforms: one reduction
+with or without them.  ``matmul`` only reads its inputs, so an immutable
 matrix can hand it its own row tuples.  It takes the right factor as
 sparse rows and touches only the nonzero entries of both factors.
 
@@ -53,23 +56,24 @@ def _col_sub(m, j, t, q):
             row[j] -= q * e
 
 
-def snf_inplace(d, u, v):
-    """Reduce ``d`` to Smith normal form in place.
+def snf_inplace(m, nr, nc):
+    """Reduce the leading ``nr`` x ``nc`` block of ``m`` to Smith normal
+    form in place.
 
-    ``u`` and ``v`` must come in as identity matrices of the row and
-    column dimension; every elementary operation applied to ``d`` is
-    mirrored into them, so ``u * d_original * v == d_final`` holds on
-    exit with ``u`` and ``v`` unimodular.  A witness passed as ``None``
-    is not kept: nothing is mirrored into it.  The final ``d`` is
-    diagonal with nonnegative entries forming a divisibility chain.
+    Row operations act on whole rows and column operations on the first
+    ``nc`` entries of every row, so entries to the right of the block
+    follow the row transform and rows below it follow the column
+    transform.  With I_nr appended to the right of the block and the
+    rows of I_nc below it, those entries end as unimodular ``u`` and
+    ``v`` with ``u * block_original * v == block_final``.  The final
+    block is diagonal with nonnegative entries forming a divisibility
+    chain.
 
     Pivot rule: the entry of smallest nonzero magnitude in the
     untouched block, first match in row-major scan order.  The scan stops
     at the first unit, which no later entry can beat, and a unit pivot
     skips the divisibility check of the remaining block.
     """
-    nr = len(d)
-    nc = len(d[0]) if nr else 0
     limit = min(nr, nc)
     t = 0
     while t < limit:
@@ -77,9 +81,9 @@ def snf_inplace(d, u, v):
         best_j = -1
         best = 0
         for i in range(t, nr):
-            di = d[i]
+            mi = m[i]
             for j in range(t, nc):
-                e = di[j]
+                e = mi[j]
                 if e:
                     if e < 0:
                         e = -e
@@ -94,50 +98,36 @@ def snf_inplace(d, u, v):
         if best_i < 0:
             break  # nothing nonzero left
         if best_i != t:
-            d[t], d[best_i] = d[best_i], d[t]
-            if u is not None:
-                u[t], u[best_i] = u[best_i], u[t]
+            m[t], m[best_i] = m[best_i], m[t]
         if best_j != t:
-            _swap_cols(d, t, best_j)
-            if v is not None:
-                _swap_cols(v, t, best_j)
+            _swap_cols(m, t, best_j)
         while True:
-            p = d[t][t]
+            p = m[t][t]
             if p < 0:
-                _negate_row(d, t)
-                if u is not None:
-                    _negate_row(u, t)
+                _negate_row(m, t)
                 p = -p
             again = False
             for i in range(t + 1, nr):
-                e = d[i][t]
+                e = m[i][t]
                 if e:
                     q = e // p
                     if q:
-                        _row_sub(d, i, t, q)
-                        if u is not None:
-                            _row_sub(u, i, t, q)
-                    if d[i][t]:
+                        _row_sub(m, i, t, q)
+                    if m[i][t]:
                         # remainder beats the pivot; promote it
-                        d[t], d[i] = d[i], d[t]
-                        if u is not None:
-                            u[t], u[i] = u[i], u[t]
+                        m[t], m[i] = m[i], m[t]
                         again = True
                         break
             if again:
                 continue
             for j in range(t + 1, nc):
-                e = d[t][j]
+                e = m[t][j]
                 if e:
                     q = e // p
                     if q:
-                        _col_sub(d, j, t, q)
-                        if v is not None:
-                            _col_sub(v, j, t, q)
-                    if d[t][j]:
-                        _swap_cols(d, t, j)
-                        if v is not None:
-                            _swap_cols(v, t, j)
+                        _col_sub(m, j, t, q)
+                    if m[t][j]:
+                        _swap_cols(m, t, j)
                         again = True
                         break
             if again:
@@ -145,15 +135,13 @@ def snf_inplace(d, u, v):
             break
         # the pivot must divide the whole remaining block for the
         # divisor chain; fold an offending row into row t and redo
-        p = d[t][t]
+        p = m[t][t]
         clean = True
         for i in range(t + 1, nr if p != 1 else t + 1):  # 1 divides all
-            di = d[i]
+            mi = m[i]
             for j in range(t + 1, nc):
-                if di[j] % p:
-                    _row_add(d, t, i)
-                    if u is not None:
-                        _row_add(u, t, i)
+                if mi[j] % p:
+                    _row_add(m, t, i)
                     clean = False
                     break
             if not clean:

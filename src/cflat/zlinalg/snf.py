@@ -4,9 +4,10 @@ Everything is exact integer arithmetic.  The decomposition carries its
 unimodular transforms so callers can verify ``u * m * v == d``
 directly; derived operations (cokernel, kernel basis, solution of
 linear systems over Z, counts of solutions mod m) all reduce to one
-Smith reduction.  The cokernel reads only the diagonal, so it runs the
-same kernel without building the transforms, and a count of solutions
-mod m is read off the cokernel.
+Smith reduction.  The transforms ride along in the kernel's working
+matrix, as I appended to the right of ``m`` and I below it; the
+cokernel reads only the diagonal, so it hands the kernel ``m`` alone,
+and a count of solutions mod m is read off the cokernel.
 """
 
 from __future__ import annotations
@@ -78,20 +79,21 @@ def smith_normal_form(m: IntMatrix) -> SNFDecomposition:
     >>> dec.divisors
     (2, 4)
     """
-    d = m.to_lists()
-    u = IntMatrix.identity(m.rows).to_lists()
-    v = IntMatrix.identity(m.cols).to_lists()
-    backend.snf_inplace(d, u, v)
-    return SNFDecomposition(
-        matrix=m, d=IntMatrix._of(d, m.cols), u=IntMatrix._of(u, m.rows), v=IntMatrix._of(v, m.cols)
-    )
+    r, c = m.rows, m.cols
+    work = [row + unit for row, unit in zip(m.to_lists(), IntMatrix.identity(r).to_lists())]
+    work += IntMatrix.identity(c).to_lists()
+    backend.snf_inplace(work, r, c)
+    top = work[:r]
+    d = IntMatrix._of([row[:c] for row in top], c)
+    u = IntMatrix._of([row[c:] for row in top], r)
+    return SNFDecomposition(matrix=m, d=d, u=u, v=IntMatrix._of(work[r:], c))
 
 
 def _smith_diagonal(m: IntMatrix) -> tuple[int, ...]:
     """The diagonal of the Smith form of ``m`` (zeros kept), reduced
     without building the transforms."""
     d = m.to_lists()
-    backend.snf_inplace(d, None, None)
+    backend.snf_inplace(d, m.rows, m.cols)
     return tuple(d[i][i] for i in range(min(m.rows, m.cols)))
 
 

@@ -513,7 +513,8 @@ def _col_sub(m, j, t, q):
 
 def snf_inplace_oracle(d, u, v):
     """Smith reduction with the same pivot rule and order of operations as
-    ``backend.snf_inplace``; ``u`` and ``v`` are identities or None."""
+    ``backend.snf_inplace``, mirroring every operation on ``d`` into the
+    identities ``u`` and ``v`` rather than carrying them in one matrix."""
     nr = len(d)
     nc = len(d[0]) if nr else 0
     limit = min(nr, nc)
@@ -537,18 +538,15 @@ def snf_inplace_oracle(d, u, v):
             break
         if best_i != t:
             d[t], d[best_i] = d[best_i], d[t]
-            if u is not None:
-                u[t], u[best_i] = u[best_i], u[t]
+            u[t], u[best_i] = u[best_i], u[t]
         if best_j != t:
             _swap_cols(d, t, best_j)
-            if v is not None:
-                _swap_cols(v, t, best_j)
+            _swap_cols(v, t, best_j)
         while True:
             p = d[t][t]
             if p < 0:
                 _negate_row(d, t)
-                if u is not None:
-                    _negate_row(u, t)
+                _negate_row(u, t)
                 p = -p
             again = False
             for i in range(t + 1, nr):
@@ -557,12 +555,10 @@ def snf_inplace_oracle(d, u, v):
                     q = e // p
                     if q:
                         _row_sub(d, i, t, q)
-                        if u is not None:
-                            _row_sub(u, i, t, q)
+                        _row_sub(u, i, t, q)
                     if d[i][t]:
                         d[t], d[i] = d[i], d[t]
-                        if u is not None:
-                            u[t], u[i] = u[i], u[t]
+                        u[t], u[i] = u[i], u[t]
                         again = True
                         break
             if again:
@@ -573,12 +569,10 @@ def snf_inplace_oracle(d, u, v):
                     q = e // p
                     if q:
                         _col_sub(d, j, t, q)
-                        if v is not None:
-                            _col_sub(v, j, t, q)
+                        _col_sub(v, j, t, q)
                     if d[t][j]:
                         _swap_cols(d, t, j)
-                        if v is not None:
-                            _swap_cols(v, t, j)
+                        _swap_cols(v, t, j)
                         again = True
                         break
             if again:
@@ -591,8 +585,7 @@ def snf_inplace_oracle(d, u, v):
             for j in range(t + 1, nc):
                 if di[j] % p:
                     _row_add(d, t, i)
-                    if u is not None:
-                        _row_add(u, t, i)
+                    _row_add(u, t, i)
                     clean = False
                     break
             if not clean:

@@ -240,10 +240,10 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
         lists_of[id(rows)] = (rows, self)
         return rows
 
-    def tracked_snf_inplace(d, u, v):
-        if u is None:  # no witnesses: record which matrix is reduced
-            reduced.append(lists_of[id(d)][1])
-        return snf_inplace(d, u, v)
+    def tracked_snf_inplace(m, nr, nc):
+        if id(m) in lists_of:  # the bare rows of a matrix: record which one
+            reduced.append(lists_of[id(m)][1])
+        return snf_inplace(m, nr, nc)
 
     monkeypatch.setattr(matrix, "_charpoly", counting_charpoly)
     monkeypatch.setattr(IntMatrix, "power_sum", counting_power_sum)

@@ -48,6 +48,21 @@ def test_snf_reads_stdin(monkeypatch, capsys):
     assert json.loads(out)["divisors"] == [6]
 
 
+def test_snf_reads_stdin_as_json_not_as_a_file_name(tmp_path, monkeypatch, capsys):
+    """Stdin holds the matrix itself: text starting with @ is invalid JSON,
+    even when a file of that name exists; --matrix @file still reads it."""
+    import io
+
+    (tmp_path / "m.json").write_text("[[2,4],[6,8]]")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdin", io.StringIO("@m.json"))
+    code, out, err = run_cli(capsys, "snf")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1, err
+    code, out, _ = run_cli(capsys, "snf", "--matrix", "@m.json")
+    assert code == 0 and json.loads(out)["divisors"] == [2, 4]
+
+
 def test_snf_accepts_string_entries(capsys):
     huge = str(10**40)
     code, out, _ = run_cli(capsys, "snf", "--matrix", f'[["{huge}"]]')
@@ -192,15 +207,50 @@ def test_domain_errors_exit_one(capsys):
 
 
 def test_h1_rejections_print_one_error_line(capsys):
-    """h1 refuses a g0 that is not square, not unimodular or of infinite
-    order with exit 1, one exact stderr line and nothing on stdout."""
+    """h1 refuses a g0 that is not square, not unimodular (singular too) or
+    of infinite order with exit 1, one exact stderr line and nothing on stdout."""
     cases = [
         ("[[1,2,3]]", "error: automorphism matrix must be square, got 1x3\n"),
         ("[[2]]", "error: matrix is not a lattice automorphism (det != +-1)\n"),
+        # a zero first column: the determinant is 0 before any elimination
+        ("[[0,1],[0,2]]", "error: matrix is not a lattice automorphism (det != +-1)\n"),
         ("[[1,1],[0,1]]", "error: matrix order exceeds bound 10000\n"),
     ]
     for g0, message in cases:
         assert run_cli(capsys, "h1", "--g0", g0) == (1, "", message)
+
+
+def test_bundle_shape_rejections_print_one_error_line(capsys):
+    """A summand that is not an object, angle lists that are not arrays,
+    summands that are not an array and a torsion angle count that does
+    not match the base each exit 1 with one exact error line."""
+    right = '{"base": "S1", "summands": []}'
+    cases = [
+        ('{"base": "K", "summands": [1]}', "each summand must be an object"),
+        ('{"base": "K", "summands": [{"kind": "real", "free": "0"}]}', "summand angle lists must be arrays"),
+        ('{"base": "K", "summands": {}}', "summands must be an array"),
+        (
+            '{"base": "K", "summands": [{"kind": "real", "free": ["0"], "torsion": []}]}',
+            "K has 1 torsion generators, got 0 angles",
+        ),
+    ]
+    for left, message in cases:
+        argv = ("stable-eq", "--left", left, "--right", right)
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n"), left
+
+
+def test_integer_angles_read_as_their_fractions(capsys):
+    """JSON integer angles are accepted and read as the same angles as
+    their string forms, against an equivalent and an inequivalent bundle."""
+    for other in ('["0", "0"]', '["1/2", "0"]'):
+        right = f'{{"base": "T2", "summands": [{{"kind": "real", "free": {other}}}]}}'
+        outputs = []
+        for free in ("[0, 0]", '["0", "0"]'):
+            left = f'{{"base": "T2", "summands": [{{"kind": "real", "free": {free}}}]}}'
+            code, out, err = run_cli(capsys, "affine-eq", "--left", left, "--right", right)
+            assert (code, err) == (0, ""), free
+            outputs.append(out)
+        assert outputs[0] == outputs[1], other
 
 
 def test_bound_at_its_caps_is_bounded(capsys):

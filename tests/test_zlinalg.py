@@ -406,8 +406,9 @@ def _smith_cases(rng):
 
 
 def test_smith_kernel_matches_the_dense_oracle():
-    """Witnessed Smith forms equal the oracle's d, u and v entry for entry,
-    and the unwitnessed reduction its d."""
+    """Witnessed Smith forms, whose transforms ride in the kernel's working
+    matrix, equal the mirroring oracle's d, u and v entry for entry, and
+    the bare reduction its d."""
     rng = random.Random(SEED + 13)
     for m in _smith_cases(rng):
         d, u, v = m.to_lists(), IntMatrix.identity(m.rows).to_lists(), IntMatrix.identity(m.cols).to_lists()
@@ -415,8 +416,27 @@ def test_smith_kernel_matches_the_dense_oracle():
         dec = smith_normal_form(m)
         assert (dec.d.to_lists(), dec.u.to_lists(), dec.v.to_lists()) == (d, u, v), m
         bare = m.to_lists()
-        backend.snf_inplace(bare, None, None)
+        backend.snf_inplace(bare, m.rows, m.cols)
         assert bare == d
+
+
+def test_smith_kernel_carries_entries_beside_and_below_the_block():
+    """Entries right of the reduced block follow the row transform and rows
+    below it the column transform, whatever they hold: [m | b] over the
+    rows of I_c ends as [d | u*b] over v."""
+    rng = random.Random(SEED + 14)
+    shapes = [(r, c) for r in range(6) for c in range(6)]
+    for rows, cols in shapes + [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(60)]:
+        m = IntMatrix._of([[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)], cols)
+        width = rng.randint(0, 4)
+        b = IntMatrix._of([[rng.randint(-9, 9) for _ in range(width)] for _ in range(rows)], width)
+        work = [row + extra for row, extra in zip(m.to_lists(), b.to_lists())]
+        work += IntMatrix.identity(cols).to_lists()
+        backend.snf_inplace(work, rows, cols)
+        dec = smith_normal_form(m)
+        assert [row[:cols] for row in work[:rows]] == dec.d.to_lists(), m
+        assert [row[cols:] for row in work[:rows]] == (dec.u * b).to_lists(), m
+        assert work[rows:] == dec.v.to_lists(), m
 
 
 def test_benchmark_kernel_hooks_stay_in_place(monkeypatch):
@@ -442,7 +462,8 @@ def test_benchmark_kernel_hooks_stay_in_place(monkeypatch):
     cokernel(b)
     IntMatrix([[2, 1], [1, 1]]).det()
     rank_mod(b, 3)
-    assert seen[1:] == [("snf_inplace", 3), ("snf_inplace", 3), ("det_inplace", 2), ("rank_mod_inplace", 3)]
+    # the witnessed form hands the kernel b's 3 rows over the 2 rows of I_2
+    assert seen[1:] == [("snf_inplace", 5), ("snf_inplace", 3), ("det_inplace", 2), ("rank_mod_inplace", 3)]
 
 
 # ----------------------------------------------------------------------
