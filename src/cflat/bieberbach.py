@@ -19,7 +19,7 @@ For one screw alpha = (L, t) with L of order k, the cyclic relator
 alpha^k is the translation N t, where N = sum of h over the holonomy
 group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
 1986).  For a catalog screw, k (``IntMatrix.order``) and N
-(``IntMatrix.power_sum``) take O(log k) matrix products; neither the
+(``IntMatrix.norm``) take at most dim matrix products together; neither the
 holonomy walk nor a k-fold affine word is multiplied out.  A mapping
 torus needs neither: L = g0 (+) 1 fixes t = e_(n+1) / k, so N t = k t is
 the unit translation e_(n+1), and the spec carries that relator in
@@ -298,7 +298,7 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
     if s == 1:
         (alpha,) = screws
         k = alpha.linear.order(_HOLONOMY_BOUND)
-        norm = alpha.linear.power_sum(k)
+        norm = alpha.linear.norm(_HOLONOMY_BOUND)
         return [([k], translation_map(spec.dim, _apply_linear(norm, alpha.translation)))]
     if s == 2:
         a, b = screws
@@ -383,6 +383,7 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     unit = [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i) for i in range(dim)]
     gens = [translation_map(dim, unit[i]) for i in range(n)]
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
+    object.__setattr__(block, "_det", g0.det())  # det(g0 (+) 1), kept by g0.order: the spec's check reads it
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
     spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
     if k > 1:  # at k = 1 the extra generator is the translation e_(n+1)

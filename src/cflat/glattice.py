@@ -61,9 +61,12 @@ class GLattice:
         g0 = self.g0
         if not g0.is_square:
             raise DomainError(f"automorphism matrix must be square, got {g0.rows}x{g0.cols}")
-        if abs(g0.det()) != 1:
-            raise DomainError("matrix is not a lattice automorphism (det != +-1)")
-        g0.order(_ORDER_BOUND)
+        try:
+            g0.order(_ORDER_BOUND)  # a finite order settles det = +-1
+        except DomainError:
+            if abs(g0.det()) != 1:
+                raise DomainError("matrix is not a lattice automorphism (det != +-1)") from None
+            raise
 
     @property
     def rank(self) -> int:
@@ -94,8 +97,9 @@ def make_glattice(g0: IntMatrix) -> GLattice:
     """``GLattice(g0)``, which checks g0 (square, det = +-1, finite order).
 
     The order comes from ``IntMatrix.order``: the lcm of the cyclotomic
-    factors of the characteristic polynomial, confirmed by O(log k)
+    factors of the characteristic polynomial, confirmed by at most rank
     products, and a ``DomainError`` when g0^k = 1 for no k up to 10,000.
+    Those products also give the norm; a finite order gives det g0 = +-1.
     """
     return GLattice(g0)
 
@@ -109,7 +113,7 @@ def h1_oracle(lat: GLattice) -> AbelianGroup:
     H^1 is the cokernel of those coordinates.  The result is always
     finite.
     """
-    norm = lat.g0.power_sum(lat.order)  # sum of g0^i, i < k
+    norm = lat.g0.norm(_ORDER_BOUND)  # sum of g0^i, i < k
     kb = kernel_basis(norm)  # rank x r, primitive
     try:
         coords = solve_columns(kb, lat.difference)  # r x rank

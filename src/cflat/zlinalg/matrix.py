@@ -38,7 +38,7 @@ class IntMatrix:
     True
     """
 
-    __slots__ = ("rows", "cols", "_data", "_sparse", "_order")
+    __slots__ = ("rows", "cols", "_data", "_sparse", "_order", "_norm", "_det")
 
     def __init__(self, entries: Iterable[Sequence[int]]):
         data = tuple(tuple(row) for row in entries)
@@ -120,8 +120,8 @@ class IntMatrix:
         row tuples and the right factor's sparse rows without copying.
 
         A matrix builds its sparse rows the first time it is a right
-        factor and keeps them: the holonomy walk and ``pow`` multiply by
-        the same generator again and again.
+        factor and keeps them: the holonomy walk and ``order``'s Horner
+        steps multiply by the same generator again and again.
         """
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -181,78 +181,69 @@ class IntMatrix:
             raise DomainError(f"vector length {len(vec)} != column count {self.cols}")
         return tuple(sum(e * x for e, x in zip(row, vec)) for row in self._data)
 
-    def pow(self, k: int) -> "IntMatrix":
-        """Nonnegative integer power of a square matrix, by
-        floor(log2 k) + popcount(k) - 1 products for k >= 1."""
-        if not self.is_square:
-            raise DomainError("matrix power needs a square matrix")
-        if k < 0:
-            raise DomainError("negative matrix power not supported")
-        if k == 0:
-            return IntMatrix.identity(self.rows)
-        out = self
-        for bit in bin(k)[3:]:
-            out = out * out
-            if bit == "1":
-                out = out * self
-        return out
-
-    def power_sum(self, k: int) -> "IntMatrix":
-        """N(k) = sum of self^i for 0 <= i < k, by doubling.
-
-        With g = self, g^m = 1 + (g - 1) N(m), N(2m) = N(m) (1 + g^m)
-        and N(m + 1) = 1 + g N(m): 2 floor(log2 k) + popcount(k) - 1
-        products for k >= 1.
-        """
-        if not self.is_square:
-            raise DomainError("matrix power sum needs a square matrix")
-        if k < 0:
-            raise DomainError("negative matrix power not supported")
-        if k == 0:
-            return IntMatrix.zeros(self.rows, self.cols)
-        one = IntMatrix.identity(self.rows)
-        diff = self - one
-        total = one
-        for bit in bin(k)[3:]:
-            total = total + total * (one + diff * total)
-            if bit == "1":
-                total = one + self * total
-        return total
-
     def order(self, bound: int) -> int:
         """Least k >= 1 with self^k = 1; a ``DomainError`` when there is
         no such k up to ``bound``.
 
         A finite-order integer matrix is diagonalizable with roots of
-        unity as eigenvalues, so its characteristic polynomial is a
+        unity as eigenvalues, so its characteristic polynomial chi is a
         product of cyclotomic polynomials Phi_m and its order is the lcm
         of the m (Kuzmanovich & Pavlichenkov, "Finite groups of matrices
         whose entries are integers", Amer. Math. Monthly 109, 2002).
-        That lcm k is read off the characteristic polynomial and
-        confirmed by one binary power; self^k != 1 means self is not
-        semisimple, so of infinite order.
+        That lcm k is read off chi.  Then self^k = 1 exactly when self is
+        semisimple: when psi(self) = 0, psi the product of the distinct
+        Phi_m with m > 1, or (self - 1) psi(self) = 0 when Phi_1 divides
+        chi.  Horner's rule takes deg psi products, and self - 1 one more.
 
-        The order found is kept on the matrix, so its characteristic
-        polynomial is factored and its power taken once; a later call
-        compares the kept order with its own bound.
+        The order is kept on the matrix, with det = (-1)^n chi(0) and the
+        norm that come with it, so chi is factored and psi(self) taken
+        once; a later call compares the kept order with its own bound.
         """
         if not self.is_square:
             raise DomainError("matrix order needs a square matrix")
         k = getattr(self, "_order", None)
         if k is None:
-            k = _cyclotomic_order(_charpoly(self), bound)
-            if k is None or not self.pow(k).is_identity():
+            n, chi = self.rows, _charpoly(self)
+            found = _cyclotomic_order(chi, bound)
+            if found is None:
                 raise DomainError(f"matrix order exceeds bound {bound}")
+            k, psi = found
+            p = IntMatrix.identity(n)
+            for c in reversed(psi[:-1]):
+                rows = (p * self).to_lists()
+                for i in range(n):
+                    rows[i][i] += c
+                p = IntMatrix._of(rows, n)
+            if any(map(any, (p if sum(chi) else p * self - p)._data)):  # chi(1) = 0: Phi_1 divides chi
+                raise DomainError(f"matrix order exceeds bound {bound}")
+            q = k // sum(psi)  # psi(1), the product of the p over the m = p^a, divides k
+            object.__setattr__(self, "_norm", IntMatrix._of([[q * e for e in row] for row in p._data], n))
+            object.__setattr__(self, "_det", -chi[0] if n % 2 else chi[0])
             object.__setattr__(self, "_order", k)
         if k > bound:
             raise DomainError(f"matrix order exceeds bound {bound}")
         return k
 
+    def norm(self, bound: int) -> "IntMatrix":
+        """N = sum of self^i for 0 <= i < k, with k = ``order(bound)``.
+
+        On the fixed space N is k and psi(self) is psi(1); on each other
+        eigenvector both vanish.  So N = (k / psi(1)) psi(self), kept by
+        ``order``: no product here.
+        """
+        self.order(bound)
+        return self._norm
+
     def det(self) -> int:
-        """Exact determinant (fraction-free elimination)."""
+        """Exact determinant (fraction-free elimination), kept on the
+        matrix; ``order`` keeps the one it reads off chi."""
         if not self.is_square:
             raise DomainError("determinant of a non-square matrix")
-        return backend.det_inplace(self.to_lists())
+        d = getattr(self, "_det", None)
+        if d is None:
+            d = backend.det_inplace(self.to_lists())
+            object.__setattr__(self, "_det", d)
+        return d
 
     # -- equality / hashing / repr -----------------------------------
 
@@ -317,15 +308,15 @@ def _charpoly(m: IntMatrix) -> list[int]:
     return [c - p if c > p // 2 else c for c in chis[n]]
 
 
-def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
-    """The lcm of the m when the monic ``chi`` (constant term first) is a
-    product of cyclotomic Phi_m; None when it is not, or when the lcm
-    passes ``bound``.
+def _cyclotomic_order(chi: list[int], bound: int) -> tuple[int, list[int]] | None:
+    """The lcm k of the m and psi, the product of the distinct Phi_m with
+    m > 1, when the monic ``chi`` (constant term first) is a product of
+    cyclotomic Phi_m; None when it is not, or when k passes ``bound``.
 
     Phi_m has degree phi(m) >= sqrt(m / 2), so no m past 2 deg^2 divides.
     """
     n = len(chi) - 1
-    k = 1
+    k, psi = 1, [1]
     for m, deg in _cyclotomic_candidates(n, min(bound, 2 * n * n)):
         if len(chi) == 1:
             break
@@ -338,9 +329,11 @@ def _cyclotomic_order(chi: list[int], bound: int) -> int | None:
         k = lcm(k, m)
         if k > bound:
             return None
+        if m > 1:
+            psi = _poly_mul(psi, phi_m)
         while quot is not None:
             chi, quot = quot, _divide_monic(quot, phi_m)
-    return k if len(chi) == 1 and k <= bound else None
+    return (k, psi) if len(chi) == 1 and k <= bound else None
 
 
 @lru_cache(maxsize=None)
@@ -381,6 +374,14 @@ def _substitute(poly: list[int], e: int) -> list[int]:
     """poly(x^e)."""
     out = [0] * ((len(poly) - 1) * e + 1)
     out[::e] = poly
+    return out
+
+
+def _poly_mul(a: list[int], b: Sequence[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
     return out
 
 

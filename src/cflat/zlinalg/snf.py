@@ -13,6 +13,7 @@ and a count of solutions mod m is read off the cokernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from ..errors import DomainError, InternalCheckError
 from . import backend
@@ -49,10 +50,21 @@ class SNFDecomposition:
         return len(self.divisors)
 
     def check(self) -> None:
-        """Re-verify every witness property; raises on any failure."""
+        """Re-verify every witness property; raises on any failure.
+
+        Unimodularity: for a square m with det m != 0, u m v = d gives
+        det u det v det m = prod diag d once d is checked diagonal, so
+        |prod diag d| = |det m| forces |det u| = |det v| = 1; only m's own
+        small entries are eliminated.  Otherwise det u and det v are taken.
+        """
         if self.u * self.matrix * self.v != self.d:
             raise InternalCheckError("u*m*v != d")
-        if abs(self.u.det()) != 1 or abs(self.v.det()) != 1:
+        det_m = self.matrix.det() if self.matrix.is_square else 0
+        if det_m:
+            unimodular = abs(prod(self.diagonal)) == abs(det_m)
+        else:
+            unimodular = abs(self.u.det()) == 1 and abs(self.v.det()) == 1
+        if not unimodular:
             raise InternalCheckError("transform is not unimodular")
         diag = self.diagonal
         for i in range(self.d.rows):

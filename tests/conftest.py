@@ -375,7 +375,8 @@ def trial_division_is_prime(n: int) -> bool:
 
 # Successive powers: the oracles for IntMatrix.order, which reads the order
 # off the cyclotomic factors of the characteristic polynomial, and for
-# IntMatrix.power_sum, which doubles.
+# IntMatrix.norm, which scales psi(g) for psi the product of those factors
+# other than Phi_1.
 
 
 def order_oracle(m: IntMatrix, bound: int) -> int | None:
@@ -386,6 +387,13 @@ def order_oracle(m: IntMatrix, bound: int) -> int | None:
             return k
         power = power * m
     return None
+
+
+def power_oracle(m: IntMatrix, e: int) -> IntMatrix:
+    power = IntMatrix.identity(m.rows)
+    for _ in range(e):
+        power = power * m
+    return power
 
 
 def power_sum_oracle(m: IntMatrix, k: int) -> IntMatrix:

@@ -220,16 +220,16 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
     matrices = [IntMatrix([[-1]]), IntMatrix.identity(2)]
     matrices += [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(32)]
     charpolys, norms, specs, reduced, lists_of = [], [], [], [], {}
-    charpoly, power_sum, post_init = matrix._charpoly, IntMatrix.power_sum, BieberbachGroupSpec.__post_init__
+    charpoly, norm, post_init = matrix._charpoly, IntMatrix.norm, BieberbachGroupSpec.__post_init__
     to_lists, snf_inplace = IntMatrix.to_lists, backend.snf_inplace
 
     def counting_charpoly(m):
         charpolys.append(1)
         return charpoly(m)
 
-    def counting_power_sum(self, k):
+    def counting_norm(self, bound):
         norms.append(1)
-        return power_sum(self, k)
+        return norm(self, bound)
 
     def counting_post_init(self):
         specs.append(1)
@@ -246,7 +246,7 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
         return snf_inplace(m, nr, nc)
 
     monkeypatch.setattr(matrix, "_charpoly", counting_charpoly)
-    monkeypatch.setattr(IntMatrix, "power_sum", counting_power_sum)
+    monkeypatch.setattr(IntMatrix, "norm", counting_norm)
     monkeypatch.setattr(BieberbachGroupSpec, "__post_init__", counting_post_init)
     monkeypatch.setattr(IntMatrix, "to_lists", tracked_to_lists)
     monkeypatch.setattr(backend, "snf_inplace", tracked_snf_inplace)
@@ -261,6 +261,28 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
         assert len(holonomy) == lat.order and via_spec == via_coinvariants
         differences = sum(m is lat.difference for m in reduced)
         assert (len(charpolys), len(norms), differences, len(specs)) == (1, 1, 1, 1), g0
+
+
+def test_h1_query_takes_no_bareiss_determinant(monkeypatch):
+    """The order of g0 settles det g0 = +-1, and the mapping torus's block
+    g0 (+) 1 carries det g0: the h1 query runs no elimination for a
+    determinant."""
+    rng = random.Random(SEED + 42)
+    matrices = [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(30)]
+    dets = []
+    det_inplace = backend.det_inplace
+
+    def counting_det_inplace(m):
+        dets.append(len(m))
+        return det_inplace(m)
+
+    monkeypatch.setattr(backend, "det_inplace", counting_det_inplace)
+    for g0 in matrices:
+        lat = make_glattice(g0)
+        h1_report(lat)
+        holonomy_group(mapping_torus(lat))
+        tors_h1_two_ways(lat)
+    assert dets == []
 
 
 def test_mapping_torus_of_reflection_is_klein():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import SEED, random_cyclotomic_lattice, random_finite_order_matrix, random_unimodular
+from conftest import SEED, power_oracle, random_cyclotomic_lattice, random_finite_order_matrix, random_unimodular
 from cflat import glattice
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import (
@@ -19,7 +19,7 @@ from cflat.glattice import (
     h1_triviality_certificate,
     make_glattice,
 )
-from cflat.zlinalg import AbelianGroup, IntMatrix, inverse_unimodular, rank_mod
+from cflat.zlinalg import AbelianGroup, IntMatrix, inverse_unimodular, rank_mod, smith_normal_form
 
 ROT3 = IntMatrix([[0, -1], [1, -1]])
 ROT4 = IntMatrix([[0, -1], [1, 0]])
@@ -64,23 +64,42 @@ def test_glattice_checks_g0_with_the_messages_of_make_glattice():
                 make(g0)
 
 
-def test_make_glattice_takes_logarithmic_products(monkeypatch):
-    """The order is read off the characteristic polynomial and confirmed
-    by one binary power: O(log k) products, not k."""
+def test_make_glattice_takes_one_product_per_distinct_eigenvalue(monkeypatch):
+    """The order is confirmed by evaluating psi(g0) by Horner's rule, psi
+    the product of the distinct cyclotomic factors Phi_m, m > 1, of the
+    characteristic polynomial, and one more product when Phi_1 divides it:
+    deg psi + [Phi_1 divides], the degree of the minimal polynomial of the
+    semisimple g0, which is never more than the rank.  The norm comes with
+    the order, so h1_report takes no product for it."""
     products = [0]
-    mul = IntMatrix.__mul__
+    mul, norm = IntMatrix.__mul__, IntMatrix.norm
 
     def counting_mul(self, other):
         products[0] += 1
         return mul(self, other)
 
+    def productless_norm(self, bound):
+        before = products[0]
+        out = norm(self, bound)
+        assert products[0] == before
+        return out
+
     rng = random.Random(SEED + 41)
     lattices = [random_cyclotomic_lattice(rng, max_rank=12) for _ in range(40)]
+    lattices += [(IntMatrix(IntMatrix.identity(3).to_lists()), 1), (IntMatrix([]), 1)]  # fresh, no kept order
+    # deg of the minimal polynomial: the rank of I, g0, ..., g0^n as vectors
+    degrees = [
+        smith_normal_form(IntMatrix([sum(power_oracle(g0, i)._data, ()) for i in range(g0.rows + 1)])).rank
+        for g0, _ in lattices
+    ]
     monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
-    for g0, k in lattices:
+    monkeypatch.setattr(IntMatrix, "norm", productless_norm)
+    for (g0, k), degree in zip(lattices, degrees):
         before = products[0]
-        assert make_glattice(g0).order == k
-        assert products[0] - before <= 2 * k.bit_length(), k
+        lat = make_glattice(g0)
+        assert lat.order == k
+        assert products[0] - before == degree <= g0.rows, (g0, k)
+        h1_report(lat)
     assert max(k for _, k in lattices) >= 30
 
 

@@ -1,6 +1,7 @@
 """Integer linear algebra: Smith forms, witnesses, derived operations."""
 
 import random
+import re
 from itertools import product
 from math import comb, gcd
 
@@ -12,6 +13,7 @@ from conftest import (
     gcd_minor_divisors,
     matmul_oracle,
     order_oracle,
+    power_oracle,
     power_sum_oracle,
     random_cyclotomic_lattice,
     random_finite_order_matrix,
@@ -20,10 +22,10 @@ from conftest import (
     snf_inplace_oracle,
     trial_division_is_prime,
 )
-from cflat.errors import DomainError
+from cflat.errors import DomainError, InternalCheckError
 from cflat.zlinalg import backend, matrix
 from cflat.zlinalg.matrix import _charpoly, _cyclotomic
-from cflat.zlinalg.snf import _is_prime, _smith_diagonal
+from cflat.zlinalg.snf import SNFDecomposition, _is_prime, _smith_diagonal
 from cflat.zlinalg import (
     AbelianGroup,
     IntMatrix,
@@ -79,8 +81,6 @@ def test_matrix_arithmetic():
     assert (a * b).to_lists() == [[2, 1], [4, 3]]
     assert (a + b - b) == a
     assert -(-a) == a
-    assert a.pow(0).is_identity()
-    assert a.pow(3) == a * a * a
     assert a.det() == -2
     assert b.det() == -1
     assert a.apply_vector((1, 0)) == (1, 3)
@@ -108,12 +108,14 @@ def test_matrix_shapes_with_a_zero_dimension():
 
 
 def test_matrix_order_matches_a_naive_count():
-    """order(bound) is the least k with m^k = 1, found by binary powers
+    """order(bound) is the least k with m^k = 1, found by a product loop
     here; it is 1 on the identity and refuses past ``bound``."""
     rng = random.Random(SEED + 7)
     for _ in range(40):
         m = random_finite_order_matrix(rng, max_rank=6, allow_identity=True)
-        naive = next(k for k in range(1, 100) if m.pow(k).is_identity())
+        power, naive = m, 1
+        while not power.is_identity():
+            power, naive = power * m, naive + 1
         assert m.order(1000) == naive, m
     assert IntMatrix.identity(3).order(1) == 1
     assert IntMatrix.identity(0).order(1) == 1
@@ -127,26 +129,6 @@ def test_matrix_order_matches_a_naive_count():
         IntMatrix([[1, 0]]).order(10)
     assert not IntMatrix([[1, 0]]).is_identity()
     assert not IntMatrix.zeros(2, 2).is_identity()
-
-
-def test_power_takes_logarithmic_products(monkeypatch):
-    """m^k costs floor(log2 k) + popcount(k) - 1 products: no multiply
-    by the identity, no squaring that is never read."""
-    products = [0]
-    mul = IntMatrix.__mul__
-
-    def counting_mul(self, other):
-        products[0] += 1
-        return mul(self, other)
-
-    monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)
-    m = IntMatrix([[1, 1], [1, 0]])
-    expected = IntMatrix.identity(2)
-    for k in range(70):
-        before = products[0]
-        assert m.pow(k) == expected, k
-        assert products[0] - before == (k.bit_length() + bin(k).count("1") - 2 if k else 0), k
-        expected = expected * m
 
 
 def test_identity_is_one_shared_instance():
@@ -248,20 +230,21 @@ def test_order_refuses_infinite_order():
     assert finite  # the draw includes some finite-order matrices
 
 
-def test_power_sum_matches_the_summed_powers():
+def test_norm_matches_the_summed_powers():
+    """The norm kept by ``order`` is the sum of the powers below the order,
+    and g - 1 kills it; it refuses as ``order`` does."""
     rng = random.Random(SEED + 10)
-    for _ in range(40):
-        m, k = random_cyclotomic_lattice(rng, max_rank=8)
-        norm = m.power_sum(k)
-        assert norm == power_sum_oracle(m, k)
+    cases = [random_cyclotomic_lattice(rng, max_rank=12) for _ in range(120)]
+    cases += [(IntMatrix.identity(3), 1), (IntMatrix.identity(0), 1)]
+    for m, k in cases:
+        norm = m.norm(1000)
+        assert norm == power_sum_oracle(m, k), m
         assert (m - IntMatrix.identity(m.rows)) * norm == IntMatrix.zeros(m.rows, m.cols)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        m = random_matrix(rng, n, n, 2)
-        k = rng.randint(0, 20)
-        assert m.power_sum(k) == power_sum_oracle(m, k), (m, k)
-    with pytest.raises(DomainError):
-        IntMatrix([[1, 0]]).power_sum(2)
+    assert max(k for _, k in cases) >= 30
+    with pytest.raises(DomainError, match="^matrix order needs a square matrix$"):
+        IntMatrix([[1, 0]]).norm(2)
+    with pytest.raises(DomainError, match="^matrix order exceeds bound 50$"):
+        IntMatrix([[1, 1], [0, 1]]).norm(50)
 
 
 def test_charpoly_matches_sympy():
@@ -338,7 +321,7 @@ def _product_cases(rng):
     ]
     for _ in range(12):
         g, k = random_cyclotomic_lattice(rng, max_rank=16)
-        cases.append((g.pow(rng.randint(1, k)), g.pow(rng.randint(0, k))))
+        cases.append((power_oracle(g, rng.randint(1, k)), power_oracle(g, rng.randint(0, k))))
     for _ in range(40):
         rows, inner, cols = (rng.randint(1, 20) for _ in range(3))
         a = random_matrix(rng, rows, inner, rng.choice((1, 9, 10**6)))
@@ -475,6 +458,56 @@ def test_snf_frozen_example():
     dec = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     assert dec.divisors == (2, 4)
     dec.check()
+
+
+def test_check_raises_on_each_broken_witness():
+    """Hand-built decompositions that break one witness property each;
+    the determinant-of-u case once on each certificate's path."""
+
+    def dec(m, u, v, d):
+        return SNFDecomposition(matrix=IntMatrix(m), d=IntMatrix(d), u=IntMatrix(u), v=IntMatrix(v))
+
+    eye = [[1, 0], [0, 1]]
+    cases = [
+        (dec([[1]], [[1]], [[1]], [[2]]), "u*m*v != d"),
+        (dec([[1]], [[2]], [[1]], [[2]]), "transform is not unimodular"),  # det m = 1
+        (dec([[0]], [[2]], [[1]], [[0]]), "transform is not unimodular"),  # det m = 0
+        (dec([[1, 1], [0, 1]], eye, eye, [[1, 1], [0, 1]]), "d is not diagonal"),
+        (dec([[-1]], [[1]], [[1]], [[-1]]), "negative diagonal entry"),
+        (dec([[0, 0], [0, 1]], eye, eye, [[0, 0], [0, 1]]), "zero divisor before a nonzero one"),
+        (dec([[2, 0], [0, 3]], eye, eye, [[2, 0], [0, 3]]), "divisor chain broken: 2 does not divide 3"),
+    ]
+    for broken, message in cases:
+        with pytest.raises(InternalCheckError, match=f"^{re.escape(message)}$"):
+            broken.check()
+
+
+def test_check_certifies_a_nonsingular_square_form_by_det_m(monkeypatch):
+    """A square m with det m != 0 takes one determinant, of m itself; a
+    singular or non-square m takes those of u and v."""
+    rng = random.Random(SEED + 13)
+    sizes = []
+    det_inplace = backend.det_inplace
+
+    def counting_det_inplace(m):
+        sizes.append(len(m))
+        return det_inplace(m)
+
+    monkeypatch.setattr(backend, "det_inplace", counting_det_inplace)
+    # the sizes of the matrices eliminated: m when square, then u and v
+    # unless det m != 0
+    cases = ((6, 6, False, [6]), (5, 5, True, [5, 5, 5]), (3, 5, False, [3, 5]), (5, 3, False, [5, 3]))
+    for rows, cols, singular, expected in cases:
+        m = random_matrix(rng, rows, cols, 9)
+        if singular:
+            m = IntMatrix(m.to_lists()[:-1] + [[2 * x for x in m.row(0)]])
+        elif rows == cols:
+            assert m.det()
+            m = IntMatrix(m.to_lists())  # no kept determinant
+        dec = smith_normal_form(m)
+        sizes.clear()
+        dec.check()
+        assert sizes == expected
 
 
 def test_snf_identity_and_zero():
