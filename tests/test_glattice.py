@@ -89,7 +89,7 @@ def test_make_glattice_takes_one_product_per_distinct_eigenvalue(monkeypatch):
     lattices += [(IntMatrix(IntMatrix.identity(3).to_lists()), 1), (IntMatrix([]), 1)]  # fresh, no kept order
     # deg of the minimal polynomial: the rank of I, g0, ..., g0^n as vectors
     degrees = [
-        smith_normal_form(IntMatrix([sum(power_oracle(g0, i)._data, ()) for i in range(g0.rows + 1)])).rank
+        smith_normal_form(IntMatrix([sum(power_oracle(g0, i).to_lists(), []) for i in range(g0.rows + 1)])).rank
         for g0, _ in lattices
     ]
     monkeypatch.setattr(IntMatrix, "__mul__", counting_mul)

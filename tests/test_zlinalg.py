@@ -147,6 +147,7 @@ def test_order_matches_successive_powers_on_finite_order_lattices():
         assert order_oracle(m, 1000) == k
         assert m.order(1000) == k, m
         assert m.order(k) == k
+        assert m.det() == IntMatrix(m.to_lists()).det()  # the kept (-1)^n chi(0) against Bareiss
         if k > 1:
             with pytest.raises(DomainError, match=f"^matrix order exceeds bound {k - 1}$"):
                 m.order(k - 1)
