@@ -60,10 +60,16 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x |-> linear @ x + translation, with exact rational translation."""
+    """x |-> linear @ x + translation, with exact rational translation.
+
+    ``_vector`` is the translation as integers on a unit lattice
+    translation made by ``_unit_translations``, and None on every other
+    map.
+    """
 
     linear: IntMatrix
     translation: tuple[Fraction, ...]
+    _vector: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.linear.is_square:
@@ -117,6 +123,19 @@ def translation_map(dim: int, vec: Sequence[Fraction | int]) -> AffineMap:
     return AffineMap(IntMatrix.identity(dim), tuple(vec))
 
 
+def _unit_translations(dim: int) -> tuple[AffineMap, ...]:
+    """The lattice basis e_1, ..., e_dim as translations, each keeping
+    its integer vector, a row of the identity, so that a spec takes it
+    as it is instead of reading the Fractions back."""
+    ident = IntMatrix.identity(dim)
+    out = []
+    for i in range(dim):
+        g = AffineMap(ident, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (dim - 1 - i))
+        object.__setattr__(g, "_vector", ident.row(i))
+        out.append(g)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BieberbachGroupSpec:
     """A named crystallographic group with translation lattice Z^dim.
@@ -126,7 +145,9 @@ class BieberbachGroupSpec:
     catalog data the algorithms trust rather than verify.
 
     The generators are sorted once: ``_screws`` keeps the screws, and
-    ``_translations`` each generator's integer vector (None for a screw).
+    ``_translations`` each generator's integer vector (None for a screw),
+    taken from a unit translation's ``_vector`` and otherwise read off
+    its Fractions by ``integral_translation``.
     ``_cyclic_relator`` is (k, alpha^k) for the one screw alpha of a
     mapping torus, set by ``mapping_torus``; None for every other spec.
     """
@@ -143,7 +164,9 @@ class BieberbachGroupSpec:
         for g in self.gens:
             if g.dim != self.dim:
                 raise DomainError(f"generator dimension {g.dim} != {self.dim}")
-            if g.is_translation():
+            if g._vector is not None:
+                translations.append(g._vector)
+            elif g.is_translation():
                 translations.append(g.integral_translation())  # raises if fractional
             elif abs(g.linear.det()) != 1:
                 raise DomainError("generator linear part is not unimodular")
@@ -380,14 +403,13 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     g0 = lat.g0
     if k > _HOLONOMY_BOUND:
         raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
-    unit = [(_ZERO,) * i + (_ONE,) + (_ZERO,) * (n - i) for i in range(dim)]
-    gens = [translation_map(dim, unit[i]) for i in range(n)]
+    units = _unit_translations(dim)
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     object.__setattr__(block, "_det", g0.det())  # det(g0 (+) 1), kept by g0.order: the spec's check reads it
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
-    spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
+    spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=units[:n] + (screw,))
     if k > 1:  # at k = 1 the extra generator is the translation e_(n+1)
-        object.__setattr__(spec, "_cyclic_relator", (k, translation_map(dim, unit[n])))
+        object.__setattr__(spec, "_cyclic_relator", (k, units[n]))
     object.__setattr__(lat, "_mapping_torus", spec)
     return spec
 
@@ -496,11 +518,7 @@ def _screw(linear: IntMatrix, *tr) -> AffineMap:
 
 
 def _torus(name: str, dim: int) -> BieberbachGroupSpec:
-    gens = tuple(
-        translation_map(dim, [1 if j == i else 0 for j in range(dim)])
-        for i in range(dim)
-    )
-    return BieberbachGroupSpec(name=name, dim=dim, gens=gens)
+    return BieberbachGroupSpec(name=name, dim=dim, gens=_unit_translations(dim))
 
 
 def _rot3() -> IntMatrix:

@@ -40,7 +40,6 @@ from .flatbundle import (
     base_data,
     cup_table,
     line_with_w1,
-    mod2_add,
     sw_vector,
 )
 from .orbit import orbit
@@ -163,7 +162,7 @@ def _realized_values(base: str, s: int) -> dict[tuple, tuple[Mod2Class, ...]]:
             for k in range(min(3, s - n) + 1):
                 if k:
                     w2 = (w2 + table.cup(w1, bits)) % 2 if surface else None
-                    w1 = mod2_add(w1, bits)
+                    w1 = table.sums[w1, bits]
                 key = (n + k, lines + (bits,) * k)
                 if (w1, w2) not in walked or key < walked[w1, w2]:
                     walked[w1, w2] = key

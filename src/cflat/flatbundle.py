@@ -17,13 +17,23 @@ automorphism generators) is one record each in ``SURFACES``.
 The public ``w1_of_line`` and ``c1_of_line`` check their input, as a
 ``FlatBundleSpec`` checks its summands; ``_w1_bits`` and ``_c1`` trust
 the summands of a built bundle.
+
+Angles are checked and read through their integer numerators and
+denominators, never by ``Fraction`` arithmetic or comparison: a
+``Fraction`` is kept in lowest terms, so 0 <= v < 1 is 0 <= numerator <
+denominator, a real angle's bit is whether its denominator is 2, and c1
+divides numerator times the holonomy order by the denominator.  A
+surface's ``CupTable`` holds the sum and the cup of every ordered pair
+of degree-one classes (its ``sums`` and ``cups`` tables), so
+``sw_vector`` and the classification walk look both up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 from .bieberbach import (
@@ -173,7 +183,9 @@ class LineRep:
         object.__setattr__(self, "torsion", _fractions(self.torsion))
         real = self.kind == "real"
         for v in (*self.free, *self.torsion):
-            if not 0 <= v < 1:
+            # a Fraction is kept in lowest terms with a positive
+            # denominator, so 0 <= v < 1 is 0 <= numerator < denominator
+            if not 0 <= v.numerator < v.denominator:
                 raise DomainError(f"angle {v} outside [0, 1)")
             # in [0, 1), denominator 1 or 2 means 0 or 1/2
             if real and v.denominator > 2:
@@ -267,9 +279,10 @@ def w1_of_line(base: str, rep: LineRep) -> Mod2Class:
 
 
 def _w1_bits(base: str, rep: LineRep) -> Mod2Class:
-    """w1 of a real character already validated against the base."""
+    """w1 of a real character already validated against the base: each
+    angle is 0 or 1/2, so its bit is whether its denominator is 2."""
     row = rep.free + rep.torsion
-    return tuple(1 if row[pos] == _HALF else 0 for pos in base_data(base).mod2_positions)
+    return tuple([1 if row[pos].denominator == 2 else 0 for pos in base_data(base).mod2_positions])
 
 
 @dataclass(frozen=True)
@@ -313,14 +326,16 @@ def _c1(base: str, rep: LineRep) -> C1Class:
     k = data.holonomy_order
     values = []
     for angle, d in zip(rep.torsion, data.ab.group.torsion):
-        scaled = angle * k
-        if scaled.denominator != 1:
+        # angle * k is integral exactly when the denominator divides
+        # numerator * k, and then it is numerator * k // denominator
+        scaled, rest = divmod(angle.numerator * k, angle.denominator)
+        if rest:
             order = d // gcd(angle.numerator, d)
             raise InternalCheckError(
                 f"character of order {order} on torsion does not divide "
                 f"the holonomy order {k}"
             )
-        values.append(scaled.numerator % k)
+        values.append(scaled % k)
     return C1Class(values=tuple(values), modulus=k)
 
 
@@ -354,25 +369,47 @@ def det_line(bundle: FlatBundleSpec) -> LineRep:
 @dataclass(frozen=True)
 class CupTable:
     """Mod-2 cup pairing H^1 x H^1 -> H^2 = Z/2 on the base's mod-2
-    basis (the order of ``mod2_labels``).
+    basis (the order of ``mod2_labels``), with its arithmetic as lookups.
 
     ``pairing[i][j]`` is the top-class coefficient of the product of
-    basis classes i and j.
+    basis classes i and j.  Two tables over every ordered pair (a, b) of
+    degree-one classes, as tuples of bits, are filled once when the
+    table is made: ``sums[a, b]`` is a + b and ``cups[a, b]`` is the
+    top-class coefficient of a . b.
     """
 
     pairing: tuple[tuple[int, ...], ...]
+    sums: dict[tuple[Mod2Class, Mod2Class], Mod2Class] = field(init=False, compare=False, repr=False)
+    cups: dict[tuple[Mod2Class, Mod2Class], int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        n = len(self.pairing)
+        classes = list(product((0, 1), repeat=n))
+        sums, cups = {}, {}
+        for a in classes:
+            for b in classes:
+                sums[a, b] = tuple(x ^ y for x, y in zip(a, b))
+                total = 0
+                for i in range(n):
+                    if a[i]:
+                        for j in range(n):
+                            if b[j]:
+                                total += self.pairing[i][j]
+                cups[a, b] = total % 2
+        object.__setattr__(self, "sums", sums)
+        object.__setattr__(self, "cups", cups)
 
     def cup(self, a: Mod2Class, b: Mod2Class) -> int:
+        """The top-class coefficient of a . b; a and b must be tuples of
+        bits of the table's length."""
+        try:
+            return self.cups[a, b]
+        except (KeyError, TypeError):
+            pass
         n = len(self.pairing)
         if len(a) != n or len(b) != n:
             raise DomainError("class length does not match the cup table")
-        total = 0
-        for i in range(n):
-            if a[i]:
-                for j in range(n):
-                    if b[j]:
-                        total += self.pairing[i][j]
-        return total % 2
+        raise DomainError("a mod-2 class is not a tuple of bits 0 and 1")
 
 
 def tangent_w1(base: str) -> Mod2Class:
@@ -388,8 +425,8 @@ def tangent_w1(base: str) -> Mod2Class:
 
 @lru_cache(maxsize=None)
 def cup_table(base: str) -> CupTable:
-    """The mod-2 cup pairing of a dimension <= 2 base, health-checked
-    once per base.
+    """The mod-2 cup pairing of a dimension <= 2 base, with its ``sums``
+    and ``cups`` tables, made and health-checked once per base.
 
     Checks: symmetry; nondegeneracy for the closed surfaces; and the
     Wu relation w1^2 = w2 = 0 for the (flat, zero Euler characteristic)
@@ -454,7 +491,7 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
         if rep.kind == "real":
             bits = _w1_bits(base, rep)
             w2 += table.cup(w1, bits)
-            w1 = mod2_add(w1, bits)
+            w1 = table.sums[w1, bits]
     c1s = tuple(_c1(base, rep) for rep in bundle.summands if rep.kind == "complex")
     if dim == 1:
         return CharClassVector(base=base, w1=w1, w2=None, c1=c1s)

@@ -294,7 +294,7 @@ def realized_values_oracle(base: str, s: int) -> dict:
 
 def realized_values_search_oracle(base: str, s: int) -> dict:
     theta, *nontrivial = _line_classes(base)
-    table = cup_table(base)
+    pairing = cup_table(base).pairing
     surface = base_data(base).ab.spec.dim == 2
     best = {}
     for counts in product(range(4), repeat=len(nontrivial)):
@@ -304,13 +304,27 @@ def realized_values_search_oracle(base: str, s: int) -> dict:
         lines = tuple([bits for bits, c in zip(nontrivial, counts) for _ in range(c)])
         w1, w2 = theta, 0
         for bits in lines:
-            w2 += table.cup(w1, bits)
+            w2 += cup_oracle(pairing, w1, bits)
             w1 = mod2_add(w1, bits)
         value = (w1, w2 % 2 if surface else None)
         key = (n, lines)
         if value not in best or key < best[value]:
             best[value] = key
     return {value: (theta,) * (s - n) + lines for value, (n, lines) in best.items()}
+
+
+def cup_oracle(pairing, a, b) -> int:
+    """The cup product a . b by a double loop over the pairing on the
+    basis: the oracle for the ``cups`` table of
+    cflat.flatbundle.CupTable."""
+    n = len(pairing)
+    total = 0
+    for i in range(n):
+        if a[i]:
+            for j in range(n):
+                if b[j]:
+                    total += pairing[i][j]
+    return total % 2
 
 
 def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
@@ -323,8 +337,8 @@ def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
     w1 = tuple(sum(col) % 2 for col in zip(*firsts)) if firsts else mod2_zero(base)
     if base_data(base).ab.spec.dim == 1:
         return w1, None, c1s
-    table = cup_table(base)
-    w2 = sum(table.cup(a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
+    pairing = cup_table(base).pairing
+    w2 = sum(cup_oracle(pairing, a, b) for i, a in enumerate(firsts) for b in firsts[i + 1 :])
     w2 += sum(c.mod2_bit() for c in c1s)
     return w1, w2 % 2, c1s
 

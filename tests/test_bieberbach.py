@@ -177,6 +177,37 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
     assert inits == []
 
 
+def test_an_h1_query_reads_one_translation_back(monkeypatch):
+    """A mapping torus hands its spec the integer vectors of its unit
+    translations, so an h1 query (the report, the mapping torus's
+    holonomy and torsion two ways) runs integral_translation at most
+    once: on the cyclic relator, in abelianization.  The spec's vectors
+    are those of the validating construction."""
+    rng = random.Random(SEED + 32)
+    lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]]))]
+    lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0]) for _ in range(20)]
+    expected = [mapping_torus_oracle(lat)._translations for lat in lattices]
+    read = []
+    method = AffineMap.integral_translation
+
+    def recording(self):
+        read.append(self)
+        return method(self)
+
+    monkeypatch.setattr(AffineMap, "integral_translation", recording)
+    for lat, want in zip(lattices, expected):
+        read.clear()
+        h1_report(lat)
+        spec = mapping_torus(lat)
+        holonomy_group(spec)
+        tors_h1_two_ways(lat)
+        if lat.order == 1:  # the extra generator is a translation, with no relator
+            assert read == [spec.gens[-1]]
+        else:
+            assert len(read) == 1 and read[0] is spec._cyclic_relator[1]
+        assert spec._translations == want
+
+
 def test_a_lattice_made_by_hand_reports_what_make_glattice_reports():
     """A g0 that was once stated with a wrong order (the unipotent
     [[1,1],[0,1]], the order-4 rotation, the swap) made h1_report raise

@@ -5,13 +5,15 @@ Whitney vectors, and the structure results."""
 import dataclasses
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
-from conftest import SEED, evaluate_on_generator, sw_vector_pairwise
+from conftest import SEED, cup_oracle, evaluate_on_generator, sw_vector_pairwise
 from cflat import cli, flatbundle
-from cflat.classify import _line_classes
+from cflat.bieberbach import CATALOG_NAMES
+from cflat.classify import _line_classes, diffeo_classes, stably_diffeomorphic
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import (
     C1Class,
@@ -23,6 +25,7 @@ from cflat.flatbundle import (
     cyclic_structure,
     det_line,
     line_with_w1,
+    mod2_add,
     mod2_str,
     orientation_character,
     sw_vector,
@@ -447,3 +450,112 @@ def test_building_a_bundle_hashes_no_fraction(monkeypatch):
     bundle = FlatBundleSpec("T2", (lam, rot, lam, twin, rot) * 8)
     assert hashes == []
     assert bundle.rank == 8 * (1 + 2 + 1 + 2 + 2)
+
+
+# ----------------------------------------------------------------------
+# integer angle checks and per-base tables
+# ----------------------------------------------------------------------
+
+
+def _angle_grid() -> list[Fraction]:
+    """Every p/q with q <= 12 and -2q <= p <= 2q (negatives, 0, 1/2, 1
+    and values past 1), then seeded angles with larger numerators."""
+    grid = {F(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1)}
+    rng = random.Random(SEED + 60)
+    grid |= {F(rng.randint(-100, 100), rng.randint(1, 12)) for _ in range(300)}
+    return sorted(grid)
+
+
+def test_integer_angle_checks_match_fraction_comparisons():
+    """LineRep accepts an angle exactly when 0 <= v < 1 (and, for a real
+    line, v is 0 or 1/2), with the same messages; a real angle's w1 bit
+    is v == 1/2."""
+    for v in _angle_grid():
+        for kind in ("complex", "real"):
+            if not 0 <= v < 1:
+                message = rf"^angle {v} outside \[0, 1\)$"
+            elif kind == "real" and v not in (0, F(1, 2)):
+                message = rf"^real character angle must be 0 or 1/2, got {v}$"
+            else:
+                message = None
+            if message is not None:
+                with pytest.raises(DomainError, match=message):
+                    LineRep(kind, (v,))
+                continue
+            LineRep(kind, (v,))
+            if kind == "real":
+                bit = 1 if v == F(1, 2) else 0
+                assert w1_of_line("S1", LineRep("real", (v,))) == (bit,)
+                assert w1_of_line("K", LineRep("real", (F(0),), (v,))) == (bit, 0)
+
+
+def test_c1_matches_the_fraction_product():
+    """c1 read by integer division agrees with angle * k on every
+    character of the torsion of every catalog base."""
+    for base in CATALOG_NAMES:
+        data = base_data(base)
+        k, torsion = data.holonomy_order, data.ab.group.torsion
+        free = tuple(F(j, 5) for j in range(data.ab.group.free_rank))
+        for numerators in product(*(range(d) for d in torsion)):
+            angles = tuple(F(p, d) for p, d in zip(numerators, torsion))
+            rep = LineRep("complex", free, angles)
+            scaled = [a * k for a in angles]
+            assert all(x.denominator == 1 for x in scaled), base
+            assert c1_of_line(base, rep) == C1Class(tuple(x.numerator % k for x in scaled), k), (base, angles)
+
+
+def test_cup_tables_match_the_oracles():
+    """For every ordered pair of classes, the table's sum is mod2_add's
+    and its cup is the double loop's."""
+    for base in ("S1", "T2", "K"):
+        table = cup_table(base)
+        classes = _line_classes(base)
+        assert len(table.sums) == len(table.cups) == len(classes) ** 2
+        for a in classes:
+            for b in classes:
+                assert table.sums[a, b] == mod2_add(a, b), (base, a, b)
+                assert table.cup(a, b) == table.cups[a, b] == cup_oracle(table.pairing, a, b), (base, a, b)
+
+
+_FRACTION_OPS = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__divmod__", "__rdivmod__", "__mod__", "__rmod__", "__pow__", "__rpow__",
+    "__pos__", "__neg__", "__abs__", "__hash__", "__eq__", "__lt__", "__gt__",
+    "__le__", "__ge__", "__bool__",
+)
+
+
+def test_whitney_data_runs_no_fraction_operator(monkeypatch):
+    """Performance pin: Whitney data, stable comparison and the class
+    oracle on real bundles over S1, T2 and K build no Fraction and call
+    no Fraction operator.  The cup table refuses a pair it does not
+    hold."""
+    rng = random.Random(SEED + 61)
+    half, zero = F(1, 2), F(0)
+    reps = []
+    for base, free, tors in (("S1", 1, 0), ("T2", 2, 0), ("K", 1, 1)):
+        for _ in range(6):
+            angles = [rng.choice((zero, half)) for _ in range(free + tors)]
+            reps.append((base, angles[:free], angles[free:], rng.randint(1, 6)))
+    calls = []
+    for name in _FRACTION_OPS:
+        method = getattr(Fraction, name)
+        counted = (lambda m, n: lambda *args, **kwargs: calls.append(n) or m(*args, **kwargs))(method, name)
+        monkeypatch.setattr(Fraction, name, staticmethod(counted) if name == "__new__" else counted)
+    for base, free, tors, copies in reps:
+        bundle = FlatBundleSpec(base, (LineRep("real", tuple(free), tuple(tors)),) * copies)
+        vec = sw_vector(bundle)
+        theta = line_with_w1(base, (0,) * len(vec.w1))
+        assert stably_diffeomorphic(bundle, FlatBundleSpec(base, (theta,) + bundle.summands))
+        diffeo_classes(base, len(base_data(base).mod2_positions) + copies + 1)
+    monkeypatch.undo()
+    assert calls == []
+    table = cup_table("T2")
+    with pytest.raises(DomainError, match="^class length does not match the cup table$"):
+        table.cup((1, 0), (1,))
+    with pytest.raises(DomainError, match="^class length does not match the cup table$"):
+        table.cup((1, 0, 0), (1, 0))
+    for a in ((2, 0), (1, -1), [1, 0]):
+        with pytest.raises(DomainError, match="^a mod-2 class is not a tuple of bits 0 and 1$"):
+            table.cup(a, (1, 0))

@@ -1,6 +1,9 @@
 """Repository hygiene: the checkout tracks no file that .gitignore excludes,
-such as build output, egg-info metadata or saved test logs."""
+such as build output, egg-info metadata or saved test logs, and the
+committed benchmark records are whole and small."""
 
+import json
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -23,3 +26,25 @@ def test_no_ignored_file_is_tracked():
     listed = _git("ls-files", "-ci", "--exclude-standard")
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == ""
+
+
+def test_bench_records_are_whole_and_small():
+    """Each committed BENCH_*.json names the parent and change commits
+    and holds, per side, run records that passed every check (failed = 0)
+    and carry the metrics BENCHMARK.json declares: the end-to-end ones on
+    a timed run, the per-layer ones on a traced run.  No record keeps its
+    per-query latencies."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"] for m in declared["end_to_end"]}
+    per_layer = {m["name"] for m in declared["per_layer"]}
+    for path in sorted(ROOT.glob("BENCH_*.json")):
+        record = json.loads(path.read_text())
+        for key in ("parent_commit", "change_commit"):
+            assert re.fullmatch("[0-9a-f]{40}", record.get(key, "")), (path.name, key)
+        for side in ("parent", "change"):
+            runs = record[side]
+            assert runs, (path.name, side)
+            for run in runs:
+                assert "latencies_ms" not in run, (path.name, side)
+                assert run["failed"] == 0, (path.name, side, run["workload"], run["seed"])
+                assert set(run["metrics"]) == (per_layer if run["trace"] else end_to_end), (path.name, side)
