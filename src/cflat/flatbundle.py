@@ -18,11 +18,12 @@ The public ``w1_of_line`` and ``c1_of_line`` check their input, as a
 ``FlatBundleSpec`` checks its summands; ``_w1_bits`` and ``_c1`` trust
 the summands of a built bundle.
 
-Angles are checked and read through their integer numerators and
-denominators, never by ``Fraction`` arithmetic or comparison: a
-``Fraction`` is kept in lowest terms, so 0 <= v < 1 is 0 <= numerator <
-denominator, a real angle's bit is whether its denominator is 2, and c1
-divides numerator times the holonomy order by the denominator.  A
+The angle checks and the Whitney path read angles through their
+integer numerators and denominators, with no ``Fraction`` arithmetic or
+comparison: a ``Fraction`` is kept in lowest terms, so 0 <= v < 1 is
+0 <= numerator < denominator, a real angle's bit is whether its
+denominator is 2, and c1 divides numerator times the holonomy order by
+the denominator.  A
 surface's ``CupTable`` holds the sum and the cup of every ordered pair
 of degree-one classes (its ``sums`` and ``cups`` tables), so
 ``sw_vector`` and the classification walk look both up.
@@ -35,6 +36,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 from .bieberbach import (
     AbelianizationData,
@@ -374,13 +377,13 @@ class CupTable:
     ``pairing[i][j]`` is the top-class coefficient of the product of
     basis classes i and j.  Two tables over every ordered pair (a, b) of
     degree-one classes, as tuples of bits, are filled once when the
-    table is made: ``sums[a, b]`` is a + b and ``cups[a, b]`` is the
-    top-class coefficient of a . b.
+    table is made and kept read-only: ``sums[a, b]`` is a + b and
+    ``cups[a, b]`` is the top-class coefficient of a . b.
     """
 
     pairing: tuple[tuple[int, ...], ...]
-    sums: dict[tuple[Mod2Class, Mod2Class], Mod2Class] = field(init=False, compare=False, repr=False)
-    cups: dict[tuple[Mod2Class, Mod2Class], int] = field(init=False, compare=False, repr=False)
+    sums: Mapping[tuple[Mod2Class, Mod2Class], Mod2Class] = field(init=False, compare=False, repr=False)
+    cups: Mapping[tuple[Mod2Class, Mod2Class], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.pairing)
@@ -396,8 +399,9 @@ class CupTable:
                             if b[j]:
                                 total += self.pairing[i][j]
                 cups[a, b] = total % 2
-        object.__setattr__(self, "sums", sums)
-        object.__setattr__(self, "cups", cups)
+        # read-only views: ``cup_table`` hands one table to every caller
+        object.__setattr__(self, "sums", MappingProxyType(sums))
+        object.__setattr__(self, "cups", MappingProxyType(cups))
 
     def cup(self, a: Mod2Class, b: Mod2Class) -> int:
         """The top-class coefficient of a . b; a and b must be tuples of

@@ -506,7 +506,7 @@ def test_c1_matches_the_fraction_product():
 
 def test_cup_tables_match_the_oracles():
     """For every ordered pair of classes, the table's sum is mod2_add's
-    and its cup is the double loop's."""
+    and its cup is the double loop's; the tables are read-only."""
     for base in ("S1", "T2", "K"):
         table = cup_table(base)
         classes = _line_classes(base)
@@ -515,6 +515,8 @@ def test_cup_tables_match_the_oracles():
             for b in classes:
                 assert table.sums[a, b] == mod2_add(a, b), (base, a, b)
                 assert table.cup(a, b) == table.cups[a, b] == cup_oracle(table.pairing, a, b), (base, a, b)
+        with pytest.raises(TypeError):  # one table serves every caller
+            table.cups[classes[0], classes[0]] = 1
 
 
 _FRACTION_OPS = (
@@ -539,10 +541,18 @@ def test_whitney_data_runs_no_fraction_operator(monkeypatch):
             angles = [rng.choice((zero, half)) for _ in range(free + tors)]
             reps.append((base, angles[:free], angles[free:], rng.randint(1, 6)))
     calls = []
-    for name in _FRACTION_OPS:
+
+    def counting(name):
         method = getattr(Fraction, name)
-        counted = (lambda m, n: lambda *args, **kwargs: calls.append(n) or m(*args, **kwargs))(method, name)
-        monkeypatch.setattr(Fraction, name, staticmethod(counted) if name == "__new__" else counted)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return staticmethod(counted) if name == "__new__" else counted
+
+    for name in _FRACTION_OPS:
+        monkeypatch.setattr(Fraction, name, counting(name))
     for base, free, tors, copies in reps:
         bundle = FlatBundleSpec(base, (LineRep("real", tuple(free), tuple(tors)),) * copies)
         vec = sw_vector(bundle)
