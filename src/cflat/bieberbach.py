@@ -457,7 +457,9 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     entries are rejected.  The free part is changed to a basis whose
     first vector carries the whole character image (an extended-gcd
     column operation packaged as a Smith step on the character row);
-    everything else, torsion included, lands in the kernel.
+    everything else, torsion included, lands in the kernel.  That needs
+    the torsion-free group that ``BieberbachGroupSpec`` requires and does
+    not check: a spec with torsion can end in ``InternalCheckError``.
     """
     hol = holonomy_group(spec)
     k = len(hol)

@@ -30,6 +30,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm
 from operator import mul
+from types import MappingProxyType
 
 from .errors import DomainError, InternalCheckError
 from .flatbundle import (
@@ -68,10 +69,10 @@ class AutAction:
     """Fundamental-group automorphisms acting on degree-one mod-2
     cohomology (they fix the degree-two class of a surface), kept as
     orbits: ``orbits[bits]`` is the sorted orbit of each of the at most
-    four classes, so its least class comes first.
+    four classes, least first, in a read-only view shared by every caller.
     """
 
-    orbits: dict[Mod2Class, tuple[Mod2Class, ...]]
+    orbits: MappingProxyType[Mod2Class, tuple[Mod2Class, ...]]
 
     def orbit_min(self, bits: Mod2Class) -> Mod2Class:
         return self.orbits[bits][0]
@@ -101,7 +102,7 @@ def aut_action(base: str) -> AutAction:
     classes = _line_classes(base)
     overflow = InternalCheckError("an automorphism orbit outgrew the mod-2 classes")
     orbits = {bits: tuple(sorted(orbit(bits, moves, len(classes), overflow))) for bits in classes}
-    return AutAction(orbits)
+    return AutAction(MappingProxyType(orbits))
 
 
 # ======================================================================
@@ -242,15 +243,13 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     return out
 
 
-def published_class_count(base: str, total_dim: int) -> int | None:
-    """Published class counts for the catalog surfaces, where stated."""
-    if base == "S1" and total_dim >= 2:
+def _published_class_count(base: str, total_dim: int) -> int:
+    """Published class count for a pair that ``diffeo_classes`` accepts."""
+    if base == "S1":
         return 2
-    if base == "T2" and total_dim >= 4:
+    if base == "T2":
         return 3 if total_dim == 4 else 4
-    if base == "K" and total_dim >= 4:
-        return 5
-    return None
+    return 5
 
 
 @dataclass(frozen=True)
@@ -259,12 +258,10 @@ class ClassificationReport:
     total_dim: int
     classes: tuple[DiffeoClass, ...]
     oracle_count: int
-    published_count: int | None
+    published_count: int
 
     @property
-    def count_matches(self) -> bool | None:
-        if self.published_count is None:
-            return None
+    def count_matches(self) -> bool:
         return self.oracle_count == self.published_count
 
 
@@ -275,7 +272,7 @@ def classification_report(base: str, total_dim: int) -> ClassificationReport:
         total_dim=total_dim,
         classes=classes,
         oracle_count=len(classes),
-        published_count=published_class_count(base, total_dim),
+        published_count=_published_class_count(base, total_dim),
     )
 
 

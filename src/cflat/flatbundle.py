@@ -153,8 +153,6 @@ def mod2_zero(base: str) -> Mod2Class:
 
 
 def mod2_add(a: Mod2Class, b: Mod2Class) -> Mod2Class:
-    if len(a) != len(b):
-        raise DomainError("mod-2 class length mismatch")
     return tuple((x + y) % 2 for x, y in zip(a, b))
 
 

@@ -4,6 +4,7 @@ and the classically known values, plus the splitting machinery."""
 import copy
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -25,6 +26,7 @@ from conftest import (
 )
 from cflat import bieberbach
 from cflat.bieberbach import (
+    AbelianizationData,
     AffineMap,
     BieberbachGroupSpec,
     CATALOG_NAMES,
@@ -487,6 +489,45 @@ def test_cyclic_splitting_rejects_klein_four_holonomy():
     for name in ("G6", "B3", "B4"):
         with pytest.raises(DomainError):
             cyclic_splitting(catalog_group(name))
+
+
+def test_cyclic_splitting_of_a_spec_with_torsion_ends_in_an_internal_check():
+    """The unit translations of Z^2 with the reflection (x, y) -> (-x, y)
+    generate a group with torsion.  The spec does not check the
+    torsion-free precondition, so the splitting reaches its own check."""
+    lattice = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
+    spec = BieberbachGroupSpec("torsion", 2, lattice + (AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, 0)),))
+    assert abelianization(spec).group == AbelianGroup(1, (2, 2))
+    with pytest.raises(InternalCheckError, match="^holonomy character does not kill the torsion subgroup$"):
+        cyclic_splitting(spec)
+
+
+def test_each_splitting_check_fires(monkeypatch):
+    """The relator-lift check of abelianization and the two checks of
+    cyclic_splitting that no torsion-free spec reaches, each fed one
+    wrong value."""
+    spec = catalog_group("K")
+    expected = cyclic_splitting(spec)
+    abelianize = bieberbach.abelianization
+
+    def no_free_rank(s):
+        ab = abelianize(s)
+        return replace(ab, group=AbelianGroup(0, ab.group.torsion))
+
+    def zero_character(self, gen_values, modulus):
+        return (0,) * self.group.free_rank, (0,) * len(self.group.torsion)
+
+    faults = [
+        ((bieberbach, "_holonomy_relators", lambda s: [([2], s.screw_gens()[0])]), "^holonomy relator lift is not a translation$"),
+        ((bieberbach, "abelianization", no_free_rank), "^cyclic holonomy with no free homology$"),
+        ((AbelianizationData, "functional_on_basis", zero_character), "^holonomy character is not surjective on free homology$"),
+    ]
+    for patch, message in faults:
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            with pytest.raises(InternalCheckError, match=message):
+                cyclic_splitting(spec)
+    assert cyclic_splitting(spec) == expected
 
 
 def test_cyclic_splitting_of_mapping_tori():

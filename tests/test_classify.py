@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from types import MappingProxyType
 
 import pytest
 
@@ -24,7 +25,7 @@ from conftest import (
     realized_values_oracle,
     realized_values_search_oracle,
 )
-from cflat import classify
+from cflat import classify, cli
 from cflat.classify import (
     affine_class_bound,
     affine_equivalent,
@@ -63,6 +64,31 @@ def test_aut_action_orders():
     with pytest.raises(DomainError):
         aut_action("G1")
     assert aut_action("T2") is aut_action("T2")  # built once per base
+
+
+def test_aut_action_orbits_are_read_only():
+    """aut_action hands one cached action to every caller, so a write to
+    its orbits is refused and later classifications keep their count."""
+    with pytest.raises(TypeError):
+        aut_action("K").orbits[(0, 1)] = ((0, 0),)
+    assert aut_action("K").orbit((0, 1)) == ((0, 1),)
+    assert len(diffeo_classes("K", 5)) == 6
+
+
+def test_realized_data_open_under_the_action_is_an_internal_error(monkeypatch, capsys):
+    """No action cflat builds reaches the closure check of diffeo_classes.
+    One that moves each class onto all four does: over K at total
+    dimension 4, seven of the eight Whitney pairs are realized, and
+    ((0, 1), 1) is not.  The check fails as an internal error, exit 2
+    at the CLI."""
+    classes = tuple(classify._line_classes("K"))
+    everything = classify.AutAction(MappingProxyType({bits: classes for bits in classes}))
+    monkeypatch.setattr(classify, "aut_action", lambda base: everything)
+    with pytest.raises(InternalCheckError, match="^realized Whitney data is not closed under the automorphism action$"):
+        diffeo_classes("K", 4)
+    assert cli.main(["classify", "--base", "K", "--dim", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "internal check failed" in captured.err
 
 
 def test_aut_action_tables_match_the_closure():

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cflat import bieberbach, cli, serialize
+from cflat import bieberbach, cli, glattice, serialize
 from cflat.errors import DomainError, InternalCheckError
 from cflat.glattice import make_glattice
 from cflat.zlinalg import IntMatrix
@@ -430,8 +430,13 @@ def test_internal_check_exits_two(monkeypatch, capsys):
         raise InternalCheckError("forced")
 
     monkeypatch.setattr(cli, "smith_normal_form", boom)
-    code, _, err = run_cli(capsys, "snf", "--matrix", "[[1]]")
-    assert code == 2 and "internal check failed" in err
+    code, out, err = run_cli(capsys, "snf", "--matrix", "[[1]]")
+    assert code == 2 and out == "" and "internal check failed" in err
+    # one H^1 route disagreeing with the oracle (Z/3 here)
+    monkeypatch.setattr(glattice, "h1_card_formula", lambda lat, q: 1)
+    code, out, err = run_cli(capsys, "h1", "--g0", "[[0, -1], [1, -1]]")
+    assert code == 2 and out == ""
+    assert err == "internal check failed: counting formula 1 disagrees with oracle 3\n"
 
 
 def test_module_entry_point():

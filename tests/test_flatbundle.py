@@ -175,6 +175,27 @@ def test_cup_table_health():
         cup_table("T3")
 
 
+def test_each_cup_table_check_fires(monkeypatch):
+    """cup_table's health checks, each fed a SURFACES record with a wrong
+    pairing: an asymmetric and a degenerate one on T2, and one on K in
+    which the tangent class beta squares to the top class."""
+    faults = [
+        ("T2", ((0, 1), (0, 0)), "^cup pairing is not symmetric$"),
+        ("T2", ((0, 0), (0, 0)), "^cup pairing is degenerate$"),
+        ("K", ((1, 0), (0, 1)), r"^Wu relation failed: w1\^2 != 0$"),
+    ]
+    cup_table.cache_clear()
+    try:
+        for base, pairing, message in faults:
+            with monkeypatch.context() as m:
+                m.setitem(flatbundle.SURFACES, base, dataclasses.replace(flatbundle.SURFACES[base], cup=pairing))
+                with pytest.raises(InternalCheckError, match=message):
+                    cup_table(base)
+    finally:
+        cup_table.cache_clear()
+    assert cup_table("K").pairing == ((1, 1), (1, 0))
+
+
 def test_tangent_w1():
     assert tangent_w1("S1") == (0,)
     assert tangent_w1("T2") == (0, 0)

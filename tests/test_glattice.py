@@ -176,6 +176,34 @@ def test_report_cross_checks():
     assert rep.prime_formula_value is None  # order 4 is not prime
 
 
+def _escape(kb, diff):
+    raise DomainError("system has no integral solution")
+
+
+# ((owner, name, wrong replacement), the call on a ROT3 lattice, the message);
+# ROT3 has H^1 = Z/3
+H1_FAULTS = [
+    ((glattice, "solve_columns", _escape), h1_report, "escaped the norm kernel"),
+    ((glattice, "cokernel", lambda coords: AbelianGroup(1)), h1_report, "must be finite"),
+    ((GLattice, "fixed_dim", lambda self, p: 5), h1_report, r"fixed-point count 3 is not divisible by k\^fixdim = 243"),
+    ((GLattice, "fixed_dim", lambda self, p: 0 if p == 3 else 1), lambda lat: h1_card_prime_formula(lat, 2), "dropped below the coprime reference: 0 < 1"),
+    ((glattice, "h1_card_formula", lambda lat, q: 1), h1_report, "counting formula 1 disagrees with oracle 3"),
+    ((glattice, "h1_card_prime_formula", lambda lat, q: 1), h1_report, "prime-order formula 1 disagrees with oracle 3"),
+    ((glattice, "h1_triviality_certificate", lambda lat, q: TrivialityCertificate.PROVEN_TRIVIAL), h1_report, "certificate contradicts the oracle"),
+]
+
+
+def test_each_h1_cross_check_fires(monkeypatch):
+    """Each internal check of the H^1 routes fires on one wrong value,
+    and the routes agree again once the value is restored."""
+    for patch, call, message in H1_FAULTS:
+        with monkeypatch.context() as m:
+            m.setattr(*patch)
+            with pytest.raises(InternalCheckError, match=message):
+                call(make_glattice(ROT3))
+        assert h1_report(make_glattice(ROT3)).cardinality == 3
+
+
 def test_coinvariants_torsion_is_h1():
     full = make_glattice(NEG1).coinvariant_group
     assert full == AbelianGroup(0, (2,))

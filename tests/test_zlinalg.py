@@ -84,6 +84,8 @@ def test_matrix_arithmetic():
     assert a.det() == -2
     assert b.det() == -1
     assert a.apply_vector((1, 0)) == (1, 3)
+    for m in (a, IntMatrix([[-5, 0, 7]]), IntMatrix([[2], [-3]])):
+        assert repr(m).startswith("IntMatrix([[") and eval(repr(m)) == m
 
 
 def test_matrix_shapes_with_a_zero_dimension():
