@@ -29,16 +29,18 @@ Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
 ``orbit`` of ``cflat.orbit``.
 
-A spec sorts its generators once, when it is built, and the code below
-reads its screws and translation vectors instead of testing them again.
+A spec sorts its generators once, when it is built (a mapping torus
+hands them to ``BieberbachGroupSpec._of`` already sorted), and the code
+below reads its screws and translation vectors instead of testing them
+again.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -60,16 +62,10 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x |-> linear @ x + translation, with exact rational translation.
-
-    ``_vector`` is the translation as integers on a unit lattice
-    translation made by ``_unit_translations``, and None on every other
-    map.
-    """
+    """x |-> linear @ x + translation, with exact rational translation."""
 
     linear: IntMatrix
     translation: tuple[Fraction, ...]
-    _vector: tuple[int, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.linear.is_square:
@@ -123,17 +119,12 @@ def translation_map(dim: int, vec: Sequence[Fraction | int]) -> AffineMap:
     return AffineMap(IntMatrix.identity(dim), tuple(vec))
 
 
+@lru_cache(maxsize=None)
 def _unit_translations(dim: int) -> tuple[AffineMap, ...]:
-    """The lattice basis e_1, ..., e_dim as translations, each keeping
-    its integer vector, a row of the identity, so that a spec takes it
-    as it is instead of reading the Fractions back."""
+    """The lattice basis e_1, ..., e_dim as translations; one shared
+    tuple per dimension, as ``IntMatrix.identity`` is shared."""
     ident = IntMatrix.identity(dim)
-    out = []
-    for i in range(dim):
-        g = AffineMap(ident, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (dim - 1 - i))
-        object.__setattr__(g, "_vector", ident.row(i))
-        out.append(g)
-    return tuple(out)
+    return tuple(AffineMap(ident, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (dim - 1 - i)) for i in range(dim))
 
 
 @dataclass(frozen=True)
@@ -146,10 +137,10 @@ class BieberbachGroupSpec:
 
     The generators are sorted once: ``_screws`` keeps the screws, and
     ``_translations`` each generator's integer vector (None for a screw),
-    taken from a unit translation's ``_vector`` and otherwise read off
-    its Fractions by ``integral_translation``.
+    read off its Fractions by ``integral_translation``.
     ``_cyclic_relator`` is (k, alpha^k) for the one screw alpha of a
-    mapping torus, set by ``mapping_torus``; None for every other spec.
+    mapping torus, given to ``_of`` by ``mapping_torus``; None for every
+    other spec.
     """
 
     name: str
@@ -164,9 +155,7 @@ class BieberbachGroupSpec:
         for g in self.gens:
             if g.dim != self.dim:
                 raise DomainError(f"generator dimension {g.dim} != {self.dim}")
-            if g._vector is not None:
-                translations.append(g._vector)
-            elif g.is_translation():
+            if g.is_translation():
                 translations.append(g.integral_translation())  # raises if fractional
             elif abs(g.linear.det()) != 1:
                 raise DomainError("generator linear part is not unimodular")
@@ -175,6 +164,17 @@ class BieberbachGroupSpec:
                 translations.append(None)
         object.__setattr__(self, "_screws", tuple(screws))
         object.__setattr__(self, "_translations", tuple(translations))
+
+    @classmethod
+    def _of(cls, name, dim, gens, translations, cyclic_relator) -> "BieberbachGroupSpec":
+        """A spec from its generators, their integer vectors (None for a
+        screw) and its cyclic relator, unchecked, like ``IntMatrix._of``:
+        only for parts computed from checked input, as by ``mapping_torus``."""
+        self = object.__new__(cls)
+        screws = tuple(g for g, vec in zip(gens, translations) if vec is None)
+        for f, value in zip(fields(cls), (name, dim, gens, screws, translations, cyclic_relator)):
+            object.__setattr__(self, f.name, value)
+        return self
 
     def screw_gens(self) -> tuple[AffineMap, ...]:
         """The listed generators with nontrivial linear part."""
@@ -390,13 +390,12 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     its order-th power is the new lattice vector; the spec lists that
     relator, ([k], e_(n+1)), in closed form.
 
-    Built once per lattice, from rows that were already checked, and
-    kept on the lattice.  The lattice checked g0 when it was made, and
-    its order is the order of g0, which the closed-form relator needs;
-    only an order past the holonomy bound is refused here.
+    Built by ``BieberbachGroupSpec._of`` on every call, from parts that
+    need no check: the lattice checked g0 when it was made, g0 (+) 1 is
+    unimodular with g0, and the lattice vectors are the rows of the
+    identity.  Its order is the order of g0, which the closed-form
+    relator needs; only an order past the holonomy bound is refused here.
     """
-    if lat._mapping_torus is not None:
-        return lat._mapping_torus
     n = lat.rank
     k = lat.order
     dim = n + 1
@@ -404,14 +403,13 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     if k > _HOLONOMY_BOUND:
         raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
     units = _unit_translations(dim)
+    vectors = tuple(map(IntMatrix.identity(dim).row, range(dim)))
+    name = f"MT{dim}k{k}"
+    if k == 1:  # g0 = 1: the extra generator is the translation e_(n+1)
+        return BieberbachGroupSpec._of(name, dim, units, vectors, None)
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
-    object.__setattr__(block, "_det", g0.det())  # det(g0 (+) 1), kept by g0.order: the spec's check reads it
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
-    spec = BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=units[:n] + (screw,))
-    if k > 1:  # at k = 1 the extra generator is the translation e_(n+1)
-        object.__setattr__(spec, "_cyclic_relator", (k, units[n]))
-    object.__setattr__(lat, "_mapping_torus", spec)
-    return spec
+    return BieberbachGroupSpec._of(name, dim, units[:n] + (screw,), vectors[:n] + (None,), (k, units[n]))
 
 
 def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
@@ -420,8 +418,8 @@ def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
     Route one abelianizes the mapping-torus group; route two takes the
     torsion of the coinvariant group Z^n / im(g0 - 1), another model of
     H^1 of the action.  Both are returned so the agreement stays an
-    observable fact rather than an assumption.  Route one reads the
-    lattice's kept mapping torus, and route two its kept
+    observable fact rather than an assumption.  Route one builds the
+    mapping torus, and route two reads the lattice's kept
     ``coinvariant_group``.
     """
     ab = abelianization(mapping_torus(lat))
@@ -547,7 +545,7 @@ def _axis_block(rot: IntMatrix) -> IntMatrix:
 
 
 def _build_catalog() -> dict[str, BieberbachGroupSpec]:
-    t3 = [translation_map(3, v) for v in ([1, 0, 0], [0, 1, 0], [0, 0, 1])]
+    t3 = _unit_translations(3)
     cat: dict[str, BieberbachGroupSpec] = {}
     cat["S1"] = _torus("S1", 1)
     cat["T2"] = _torus("T2", 2)

@@ -350,16 +350,12 @@ def orientation_character(bundle: FlatBundleSpec) -> Mod2Class:
 
 
 def det_line(bundle: FlatBundleSpec) -> LineRep:
-    """The determinant character of the bundle (a real line rep)."""
-    data = base_data(bundle.base)
-    g = data.ab.group
-    free = [Fraction(0)] * g.free_rank
-    tors = [Fraction(0)] * len(g.torsion)
-    for rep in bundle.summands:
-        if rep.kind == "real":
-            free = [(a + b) % 1 for a, b in zip(free, rep.free)]
-            tors = [(a + b) % 1 for a, b in zip(tors, rep.torsion)]
-    return LineRep("real", tuple(free), tuple(tors))
+    """The determinant character of the bundle (a real line rep): the
+    real line whose first class is the bundle's orientation character.
+
+    A real angle is 0 or 1/2 and is 0 on odd torsion, so its bits at
+    ``mod2_positions`` fix it."""
+    return line_with_w1(bundle.base, orientation_character(bundle))
 
 
 # ======================================================================

@@ -28,14 +28,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, InternalCheckError
 from .zlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis, rank_mod
 from .zlinalg.snf import _is_prime, _prime_divisors, solve_columns
-
-if TYPE_CHECKING:
-    from .bieberbach import BieberbachGroupSpec
 
 _ORDER_BOUND = 10_000
 _PRIME_BOUND = 2**31 - 1
@@ -48,14 +44,10 @@ class GLattice:
     Made from g0 alone, and checked once, here: g0 must be square with
     det = +-1 and of order at most 10,000.  ``rank`` and ``order`` are
     read off g0; the order is kept on g0, so it is found once.
-
-    ``_mapping_torus`` keeps the spec ``bieberbach.mapping_torus`` builds
-    for this lattice, so every route that asks shares one spec.
     """
 
     g0: IntMatrix
     _fixed_dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _mapping_torus: BieberbachGroupSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g0 = self.g0

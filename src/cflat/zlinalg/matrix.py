@@ -254,6 +254,8 @@ class IntMatrix:
         return hash(self._data)
 
     def __repr__(self) -> str:
+        if not self.rows and self.cols:  # no row to carry the width
+            return f"IntMatrix.zeros(0, {self.cols})"
         body = ", ".join(str(list(row)) for row in self._data)
         return f"IntMatrix([{body}])"
 

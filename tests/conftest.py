@@ -343,6 +343,22 @@ def sw_vector_pairwise(bundle: FlatBundleSpec) -> tuple:
     return w1, w2 % 2, c1s
 
 
+# The real summands' angles added mod 1: the oracle for
+# cflat.flatbundle.det_line, which reads the determinant line off the
+# orientation character.
+
+
+def det_line_oracle(bundle: FlatBundleSpec) -> LineRep:
+    g = base_data(bundle.base).ab.group
+    free = [Fraction(0)] * g.free_rank
+    tors = [Fraction(0)] * len(g.torsion)
+    for rep in bundle.summands:
+        if rep.kind == "real":
+            free = [(a + b) % 1 for a, b in zip(free, rep.free)]
+            tors = [(a + b) % 1 for a, b in zip(tors, rep.torsion)]
+    return LineRep("real", tuple(free), tuple(tors))
+
+
 # Enumeration of surjective tuples: the oracle for Jordan's totient in
 # cflat.classify.affine_class_bound.  A tuple in (Z/order)^rank is onto
 # exactly when its entries and the order have gcd 1.

@@ -159,10 +159,14 @@ def test_mapping_torus_homology():
 
 
 def test_mapping_torus_matches_the_validating_construction(monkeypatch):
-    """The spec built from checked rows equals the one built through the
-    validating constructors, and calls no IntMatrix constructor."""
+    """The spec BieberbachGroupSpec._of builds from checked parts equals
+    the one built through the validating constructors, and calls no
+    IntMatrix constructor.  The public constructor, given its generators,
+    sorts them into the same screws and integer vectors and states the
+    same relators, so every check _of skips would have passed: at k = 1,
+    on the 1x1 reflection and on random lattices."""
     rng = random.Random(SEED + 31)
-    lattices = [make_glattice(IntMatrix([[-1]]))]
+    lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]])), make_glattice(IntMatrix([[-1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=10)[0]) for _ in range(49)]
     expected = [mapping_torus_oracle(lat) for lat in lattices]
     inits = []
@@ -173,18 +177,24 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
         init(self, entries)
 
     monkeypatch.setattr(IntMatrix, "__init__", counting_init)
-    for lat, want in zip(lattices, expected):
-        got = mapping_torus(lat)
-        assert (got.name, got.dim, got.gens) == (want.name, want.dim, want.gens)
+    built = [mapping_torus(lat) for lat in lattices]
+    monkeypatch.undo()
     assert inits == []
+    assert [lat.order for lat in lattices[:2]] == [1, 2]
+    for got, want in zip(built, expected):
+        assert (got.name, got.dim, got.gens) == (want.name, want.dim, want.gens)
+        checked = BieberbachGroupSpec(got.name, got.dim, got.gens)
+        assert (got._screws, got._translations) == (checked._screws, checked._translations), got.name
+        assert _holonomy_relators(got) == _holonomy_relators(checked), got.name
 
 
 def test_an_h1_query_reads_one_translation_back(monkeypatch):
-    """A mapping torus hands its spec the integer vectors of its unit
-    translations, so an h1 query (the report, the mapping torus's
-    holonomy and torsion two ways) runs integral_translation at most
-    once: on the cyclic relator, in abelianization.  The spec's vectors
-    are those of the validating construction."""
+    """A mapping torus hands its spec the integer vectors of its
+    generators, so an h1 query (the report, the mapping torus's holonomy
+    and torsion two ways) runs integral_translation on no generator: at
+    k = 1 on nothing, and at k > 1 once, on the cyclic relator, in
+    abelianization.  The spec's vectors are those of the validating
+    construction."""
     rng = random.Random(SEED + 32)
     lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0]) for _ in range(20)]
@@ -203,8 +213,8 @@ def test_an_h1_query_reads_one_translation_back(monkeypatch):
         spec = mapping_torus(lat)
         holonomy_group(spec)
         tors_h1_two_ways(lat)
-        if lat.order == 1:  # the extra generator is a translation, with no relator
-            assert read == [spec.gens[-1]]
+        if lat.order == 1:  # every generator is a unit translation, with no relator
+            assert read == []
         else:
             assert len(read) == 1 and read[0] is spec._cyclic_relator[1]
         assert spec._translations == want
@@ -248,13 +258,14 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
     """The h1 query of the benchmark -- make_glattice, h1_report, the
     holonomy of the mapping torus and the torsion two ways -- factors one
     characteristic polynomial, takes one norm, reduces g0 - 1 once without
-    witnesses and builds one spec, per lattice."""
+    witnesses and walks the holonomy once, per lattice; its mapping tori
+    are built unchecked, with no run of the spec's __post_init__."""
     rng = random.Random(SEED + 40)
     matrices = [IntMatrix([[-1]]), IntMatrix.identity(2)]
     matrices += [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(32)]
-    charpolys, norms, specs, reduced, lists_of = [], [], [], [], {}
+    charpolys, norms, specs, walks, reduced, lists_of = [], [], [], [], [], {}
     charpoly, norm, post_init = matrix._charpoly, IntMatrix.norm, BieberbachGroupSpec.__post_init__
-    to_lists, snf_inplace = IntMatrix.to_lists, backend.snf_inplace
+    to_lists, snf_inplace, walk = IntMatrix.to_lists, backend.snf_inplace, bieberbach.orbit
 
     def counting_charpoly(m):
         charpolys.append(1)
@@ -267,6 +278,10 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
     def counting_post_init(self):
         specs.append(1)
         post_init(self)
+
+    def counting_orbit(*args):
+        walks.append(1)
+        return walk(*args)
 
     def tracked_to_lists(self):
         rows = to_lists(self)
@@ -283,8 +298,9 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
     monkeypatch.setattr(BieberbachGroupSpec, "__post_init__", counting_post_init)
     monkeypatch.setattr(IntMatrix, "to_lists", tracked_to_lists)
     monkeypatch.setattr(backend, "snf_inplace", tracked_snf_inplace)
+    monkeypatch.setattr(bieberbach, "orbit", counting_orbit)
     for g0 in matrices:
-        for seen in (charpolys, norms, specs, reduced):
+        for seen in (charpolys, norms, specs, walks, reduced):
             seen.clear()
         lists_of.clear()
         lat = make_glattice(g0)
@@ -293,7 +309,7 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
         via_spec, via_coinvariants = tors_h1_two_ways(lat)
         assert len(holonomy) == lat.order and via_spec == via_coinvariants
         differences = sum(m is lat.difference for m in reduced)
-        assert (len(charpolys), len(norms), differences, len(specs)) == (1, 1, 1, 1), g0
+        assert (len(charpolys), len(norms), differences, len(specs), len(walks)) == (1, 1, 1, 0, 1), g0
 
 
 def test_h1_query_takes_no_bareiss_determinant(monkeypatch):

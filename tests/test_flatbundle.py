@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from conftest import SEED, cup_oracle, evaluate_on_generator, sw_vector_pairwise
+from conftest import SEED, cup_oracle, det_line_oracle, evaluate_on_generator, sw_vector_pairwise
 from cflat import cli, flatbundle
 from cflat.bieberbach import CATALOG_NAMES
 from cflat.classify import _line_classes, diffeo_classes, stably_diffeomorphic
@@ -362,6 +362,24 @@ def test_det_line_tracks_orientation_character():
             )
             bundle = FlatBundleSpec(base, summands)
             assert w1_of_line(base, det_line(bundle)) == orientation_character(bundle)
+
+
+def test_det_line_matches_the_angle_sum():
+    """det_line, read off the orientation character, equals the real
+    summands' angles added mod 1, on seeded bundles of real lines (every
+    angle 0 or 1/2, and 0 on odd torsion) and complex lines over each of
+    the 14 catalog bases."""
+    rng = random.Random(SEED + 43)
+    for base in CATALOG_NAMES:
+        group = base_data(base).ab.group
+        for _ in range(30):
+            summands = []
+            for _ in range(rng.randint(0, 6)):
+                free = tuple(rng.choice((F(0), F(1, 2))) for _ in range(group.free_rank))
+                tors = tuple(rng.choice((F(0), F(1, 2))) if d % 2 == 0 else F(0) for d in group.torsion)
+                summands.append(LineRep("real", free, tors) if rng.random() < 0.7 else _random_line(rng, base))
+            bundle = FlatBundleSpec(base, tuple(summands))
+            assert det_line(bundle) == det_line_oracle(bundle), (base, summands)
 
 
 # ----------------------------------------------------------------------

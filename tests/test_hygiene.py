@@ -1,7 +1,9 @@
 """Repository hygiene: the checkout tracks no file that .gitignore excludes,
-such as build output, egg-info metadata or saved test logs, and the
-committed benchmark records are whole and small."""
+such as build output, egg-info metadata or saved test logs, the
+committed benchmark records are whole and small, and no module of
+cflat writes private state into another object."""
 
+import ast
 import json
 import re
 import shutil
@@ -48,3 +50,17 @@ def test_bench_records_are_whole_and_small():
                 assert "latencies_ms" not in run, (path.name, side)
                 assert run["failed"] == 0, (path.name, side, run["workload"], run["seed"])
                 assert set(run["metrics"]) == (per_layer if run["trace"] else end_to_end), (path.name, side)
+
+
+def test_frozen_objects_are_written_only_by_their_own_methods():
+    """Every object.__setattr__ call in src/cflat writes to ``self``: a
+    frozen object's fields are set by its own class, and a fast path
+    hands its parts to a constructor (such as ``IntMatrix._of`` or
+    ``BieberbachGroupSpec._of``) instead of writing into the result."""
+    found = []
+    for path in sorted((ROOT / "src" / "cflat").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                if not node.args or ast.unparse(node.args[0]) != "self":
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found == []

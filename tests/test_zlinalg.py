@@ -86,6 +86,9 @@ def test_matrix_arithmetic():
     assert a.apply_vector((1, 0)) == (1, 3)
     for m in (a, IntMatrix([[-5, 0, 7]]), IntMatrix([[2], [-3]])):
         assert repr(m).startswith("IntMatrix([[") and eval(repr(m)) == m
+    for m in (IntMatrix.zeros(0, 3), IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 0)):
+        assert eval(repr(m)) == m
+    assert repr(IntMatrix.zeros(0, 3)) == "IntMatrix.zeros(0, 3)"
 
 
 def test_matrix_shapes_with_a_zero_dimension():
