@@ -261,7 +261,7 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
     witnesses and walks the holonomy once, per lattice; its mapping tori
     are built unchecked, with no run of the spec's __post_init__."""
     rng = random.Random(SEED + 40)
-    matrices = [IntMatrix([[-1]]), IntMatrix.identity(2)]
+    matrices = [IntMatrix([[-1]]), IntMatrix([[1, 0], [0, 1]])]  # not the shared identity, which keeps its order
     matrices += [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(32)]
     charpolys, norms, specs, walks, reduced, lists_of = [], [], [], [], [], {}
     charpoly, norm, post_init = matrix._charpoly, IntMatrix.norm, BieberbachGroupSpec.__post_init__
