@@ -15,15 +15,17 @@ conjugation action on the lattice and the lifts of the holonomy
 group's defining relators (cyclic, or the Klein four-group).  First
 homology is the cokernel of the resulting relation matrix.
 
-For one screw alpha = (L, t) with L of order k, the cyclic relator
-alpha^k is the translation N t, where N = sum of h over the holonomy
-group <L> is its norm (Charlap, *Bieberbach Groups and Flat Manifolds*,
-1986).  For a catalog screw, k (``IntMatrix.order``) and N
-(``IntMatrix.norm``) take at most dim matrix products together; neither the
-holonomy walk nor a k-fold affine word is multiplied out.  A mapping
-torus needs neither: L = g0 (+) 1 fixes t = e_(n+1) / k, so N t = k t is
-the unit translation e_(n+1), and the spec carries that relator in
-closed form.
+Each lifted relator is a translation, stated in closed form (Charlap,
+*Bieberbach Groups and Flat Manifolds*, 1986) and read in integers over
+the common denominator of the translations, so no affine word is
+multiplied out.  For one screw alpha = (L, t) with L of order k, alpha^k
+is N t, where N = sum of h over the holonomy group <L> is its norm; for a
+catalog screw, k (``IntMatrix.order``) and N (``IntMatrix.norm``) take at
+most dim matrix products together, and the holonomy is not walked.  A
+mapping torus needs neither: L = g0 (+) 1 fixes t = e_(n+1) / k, so N t =
+k t is the unit translation e_(n+1), and the spec carries that relator.
+For two commuting involutions a = (A, s) and b = (B, t), a^2 = (I + A) s,
+b^2 = (I + B) t and a b a^-1 b^-1 = (I - B) s - (I - A) t.
 
 Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
@@ -82,19 +84,6 @@ class AffineMap:
     def dim(self) -> int:
         return self.linear.rows
 
-    def __mul__(self, other: "AffineMap") -> "AffineMap":
-        if self.dim != other.dim:
-            raise DomainError("dimension mismatch in affine composition")
-        lin = self.linear * other.linear
-        moved = _apply_linear(self.linear, other.translation)
-        tr = tuple(a + b for a, b in zip(self.translation, moved))
-        return AffineMap(lin, tr)
-
-    def inverse(self) -> "AffineMap":
-        inv = inverse_unimodular(self.linear)
-        tr = tuple(-t for t in _apply_linear(inv, self.translation))
-        return AffineMap(inv, tr)
-
     def is_translation(self) -> bool:
         return self.linear.is_identity()
 
@@ -108,11 +97,16 @@ class AffineMap:
         return tuple(out)
 
 
-def _apply_linear(m: IntMatrix, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """m @ vec, in integers over the common denominator of ``vec``."""
-    den = lcm(*(t.denominator for t in vec))
-    scaled = [t.numerator * (den // t.denominator) for t in vec]
-    return tuple(Fraction(x, den) for x in m.apply_vector(scaled))
+def _lattice_vector(*terms: tuple[IntMatrix, Sequence[Fraction]]) -> tuple[int, ...]:
+    """The sum of m @ t over the terms (m, t), which must be a lattice
+    vector: integer products over the common denominator of the ts."""
+    den = lcm(*(x.denominator for _, t in terms for x in t))
+    images = [m.apply_vector([x.numerator * (den // x.denominator) for x in t]) for m, t in terms]
+    total = [sum(entries) for entries in zip(*images)]
+    for x in total:
+        if x % den:
+            raise DomainError(f"translation {Fraction(x, den)} is not integral")
+    return tuple(x // den for x in total)
 
 
 def translation_map(dim: int, vec: Sequence[Fraction | int]) -> AffineMap:
@@ -138,9 +132,9 @@ class BieberbachGroupSpec:
     The generators are sorted once: ``_screws`` keeps the screws, and
     ``_translations`` each generator's integer vector (None for a screw),
     read off its Fractions by ``integral_translation``.
-    ``_cyclic_relator`` is (k, alpha^k) for the one screw alpha of a
-    mapping torus, given to ``_of`` by ``mapping_torus``; None for every
-    other spec.
+    ``_cyclic_relator`` is (k, e_(n+1)), the exponent and lattice vector
+    of alpha^k for the one screw alpha of a mapping torus, given to ``_of``
+    by ``mapping_torus``; None for every other spec.
     """
 
     name: str
@@ -148,7 +142,7 @@ class BieberbachGroupSpec:
     gens: tuple[AffineMap, ...]
     _screws: tuple[AffineMap, ...] = field(init=False, compare=False, repr=False)
     _translations: tuple[tuple[int, ...] | None, ...] = field(init=False, compare=False, repr=False)
-    _cyclic_relator: tuple[int, AffineMap] | None = field(default=None, init=False, compare=False, repr=False)
+    _cyclic_relator: tuple[int, tuple[int, ...]] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         screws, translations = [], []
@@ -299,21 +293,27 @@ class AbelianizationData:
         return free, tors
 
 
-def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], AffineMap]]:
-    """Defining relators of the holonomy group, lifted to affine words.
+def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], tuple[int, ...]]]:
+    """Defining relators of the holonomy group, lifted to the group.
 
-    Returns (exponent vector over the screw generators, evaluated affine
-    word).  Supports the shapes the catalog needs: no screw generators,
-    one (cyclic holonomy), or two commuting involutions (Klein
-    four-group holonomy).  With one screw (L, t) the other generators
-    are translations, so the holonomy is <L> and the relator is
-    (1, N t) with N the sum of the holonomy group, L^0 + ... + L^(k-1);
-    a mapping torus lists it in closed form.  Two distinct commuting
-    involutions always generate a group of order 4.
+    Returns (exponent vector over the screw generators, lattice vector of
+    the lift).  Supports the shapes the catalog needs: no screw
+    generators, one (cyclic holonomy), or two commuting involutions (Klein
+    four-group holonomy).  Each lift is a translation in closed form:
+
+    - one screw alpha = (L, t), the other generators translations: the
+      holonomy is <L>, of order k, and alpha^k = N t with N = L^0 + ... +
+      L^(k-1) its norm; a mapping torus lists this relator, (k, e_(n+1));
+    - two commuting involutions a = (A, s) and b = (B, t), in this order:
+      a^2 = (I + A) s, b^2 = (I + B) t and a b a^-1 b^-1 = (I - B) s -
+      (I - A) t.  Two distinct commuting involutions always generate a
+      group of order 4.
+
+    A lift that is not a lattice vector raises ``DomainError``.
     """
     if spec._cyclic_relator is not None:
-        k, word = spec._cyclic_relator
-        return [([k], word)]
+        k, vec = spec._cyclic_relator
+        return [([k], vec)]
     screws = spec.screw_gens()
     s = len(screws)
     if s == 0:
@@ -322,13 +322,17 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], Affin
         (alpha,) = screws
         k = alpha.linear.order(_HOLONOMY_BOUND)
         norm = alpha.linear.norm(_HOLONOMY_BOUND)
-        return [([k], translation_map(spec.dim, _apply_linear(norm, alpha.translation)))]
+        return [([k], _lattice_vector((norm, alpha.translation)))]
     if s == 2:
         a, b = screws
         la, lb = a.linear, b.linear
         if la != lb and (la * la).is_identity() and (lb * lb).is_identity() and la * lb == lb * la:
-            comm = a * b * a.inverse() * b.inverse()
-            return [([2, 0], a * a), ([0, 2], b * b), ([0, 0], comm)]
+            ident = IntMatrix.identity(spec.dim)
+            return [
+                ([2, 0], _lattice_vector((ident + la, a.translation))),
+                ([0, 2], _lattice_vector((ident + lb, b.translation))),
+                ([0, 0], _lattice_vector((ident - lb, a.translation), (la - ident, b.translation))),
+            ]
         raise DomainError(
             "unsupported holonomy: two screw generators that are not "
             "commuting involutions"
@@ -341,21 +345,17 @@ def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
 
     Relation columns: the conjugation action L - 1 of each screw generator
     on the lattice basis, and each lifted holonomy relator expressed as
-    (minus its lattice value, its exponent vector).  Built by rows.
+    (minus its lattice vector, its exponent vector).  Built by rows.
     """
     n = spec.dim
     screws = spec.screw_gens()
     s = len(screws)
     total = n + s
-    relators = []
-    for exps, word in _holonomy_relators(spec):
-        if not word.is_translation():
-            raise InternalCheckError("holonomy relator lift is not a translation")
-        relators.append((word.integral_translation(), exps))
+    relators = _holonomy_relators(spec)
     ident = IntMatrix.identity(n)
     conj = [g.linear - ident for g in screws]
-    rows = [sum((c.row(r) for c in conj), ()) + tuple(-w[r] for w, _ in relators) for r in range(n)]
-    rows += [(0,) * (n * s) + tuple(exps[j] for _, exps in relators) for j in range(s)]
+    rows = [sum((c.row(r) for c in conj), ()) + tuple(-vec[r] for _, vec in relators) for r in range(n)]
+    rows += [(0,) * (n * s) + tuple(exps[j] for exps, _ in relators) for j in range(s)]
     rel = IntMatrix._of(rows, n * s + len(relators))
     dec = smith_normal_form(rel)
     diag = dec.diagonal
@@ -409,7 +409,7 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
         return BieberbachGroupSpec._of(name, dim, units, vectors, None)
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
-    return BieberbachGroupSpec._of(name, dim, units[:n] + (screw,), vectors[:n] + (None,), (k, units[n]))
+    return BieberbachGroupSpec._of(name, dim, units[:n] + (screw,), vectors[:n] + (None,), (k, vectors[n]))
 
 
 def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:

@@ -64,28 +64,14 @@ def _mat2_apply(m: Mod2Matrix, bits: Mod2Class) -> Mod2Class:
     return tuple(sum(r * b for r, b in zip(row, bits)) % 2 for row in m)
 
 
-@dataclass(frozen=True)
-class AutAction:
-    """Fundamental-group automorphisms acting on degree-one mod-2
-    cohomology (they fix the degree-two class of a surface), kept as
-    orbits: ``orbits[bits]`` is the sorted orbit of each of the at most
-    four classes, least first, in a read-only view shared by every caller.
-    """
-
-    orbits: MappingProxyType[Mod2Class, tuple[Mod2Class, ...]]
-
-    def orbit_min(self, bits: Mod2Class) -> Mod2Class:
-        return self.orbits[bits][0]
-
-    def orbit(self, bits: Mod2Class) -> tuple[Mod2Class, ...]:
-        return self.orbits[bits]
-
-
 @lru_cache(maxsize=None)
-def aut_action(base: str) -> AutAction:
-    """The orbits of the induced action on degree-one mod-2 classes,
-    walked once per base (on first use) with the base's ``SURFACES``
-    generators as moves.
+def aut_action(base: str) -> MappingProxyType[Mod2Class, tuple[Mod2Class, ...]]:
+    """The orbits of the induced action of fundamental-group
+    automorphisms on degree-one mod-2 classes (they fix the degree-two
+    class of a surface), walked once per base (on first use) with the
+    base's ``SURFACES`` generators as moves.  The result maps each of
+    the at most four classes to its sorted orbit, least first, in a
+    read-only view shared by every caller.
 
     A mod-2 class is a real character's row of angles, doubled, read at
     the base's ``mod2_positions`` (so the Klein bottle's alpha, the
@@ -102,7 +88,7 @@ def aut_action(base: str) -> AutAction:
     classes = _line_classes(base)
     overflow = InternalCheckError("an automorphism orbit outgrew the mod-2 classes")
     orbits = {bits: tuple(sorted(orbit(bits, moves, len(classes), overflow))) for bits in classes}
-    return AutAction(MappingProxyType(orbits))
+    return MappingProxyType(orbits)
 
 
 # ======================================================================
@@ -207,10 +193,10 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
         raise DomainError("surface bases need fibre rank >= 2")
     if total_dim > 40:
         raise DomainError("total dimension bound 40 exceeded")
-    action = aut_action(base)
+    aut_orbits = aut_action(base)
     realized = _realized_values(base, s)
     for (w1, w2) in realized:
-        for image in action.orbit(w1):
+        for image in aut_orbits[w1]:
             if (image, w2) not in realized:
                 raise InternalCheckError(
                     "realized Whitney data is not closed under the automorphism action"
@@ -218,7 +204,7 @@ def diffeo_classes(base: str, total_dim: int) -> list[DiffeoClass]:
     orbits: dict[tuple, list[tuple]] = {}
     for value in realized:
         w1, w2 = value
-        key = (action.orbit_min(w1), w2)
+        key = (aut_orbits[w1][0], w2)
         orbits.setdefault(key, []).append(value)
     line_reps = {bits: line_with_w1(base, bits) for bits in _line_classes(base)}
     out = []
@@ -284,10 +270,10 @@ def stably_diffeomorphic(b1: FlatBundleSpec, b2: FlatBundleSpec) -> bool:
         raise DomainError("stable comparison needs a common base")
     if b1.base not in _SURFACE_BASES:
         raise DomainError(f"stable comparison implemented over {_SURFACE_BASES}")
-    action = aut_action(b1.base)
+    aut_orbits = aut_action(b1.base)
     v1 = sw_vector(b1)
     v2 = sw_vector(b2)
-    return (action.orbit_min(v1.w1), v1.w2) == (action.orbit_min(v2.w1), v2.w2)
+    return (aut_orbits[v1.w1][0], v1.w2) == (aut_orbits[v2.w1][0], v2.w2)
 
 
 # ======================================================================

@@ -168,13 +168,13 @@ def _cmd_stable_eq(args) -> dict:
     b1 = _bundle_arg(args.left)
     b2 = _bundle_arg(args.right)
     answer = stably_diffeomorphic(b1, b2)
-    action = aut_action(b1.base)
+    aut_orbits = aut_action(b1.base)
     out = {"equivalent": answer, "base": b1.base}
     for side, b in (("left", b1), ("right", b2)):
         vec = sw_vector(b)
         out[side] = {
             "w1": list(vec.w1),
-            "w1_orbit_min": list(action.orbit_min(vec.w1)),
+            "w1_orbit_min": list(aut_orbits[vec.w1][0]),
             "w2": vec.w2,
         }
     return out

@@ -375,17 +375,48 @@ def epimorphism_count_oracle(rank: int, order: int) -> int:
     return count
 
 
-# The k-fold affine word alpha^k: the oracle for the cyclic relator in
-# cflat.bieberbach._holonomy_relators, which reads it off as the norm of
-# the holonomy group applied to alpha's translation.
+# The lifted holonomy relators multiplied out as affine words in Fraction
+# arithmetic -- alpha^k for one screw alpha, and a a, b b, a b a^-1 b^-1 for
+# two commuting involutions a and b -- with a product and an inverse of
+# their own: the oracles for cflat.bieberbach._holonomy_relators, which
+# states each lift in closed form and reads it in integers.  A lift that is
+# not integral raises integral_translation's DomainError.
+
+
+def _fraction_apply(m: IntMatrix, vec) -> tuple:
+    return tuple(sum((e * t for e, t in zip(row, vec)), Fraction(0)) for row in m.to_lists())
+
+
+def affine_product(*maps: AffineMap) -> AffineMap:
+    """The composite f g ... of affine maps, x -> f(g(...(x)))."""
+    out = maps[0]
+    for g in maps[1:]:
+        moved = _fraction_apply(out.linear, g.translation)
+        out = AffineMap(out.linear * g.linear, tuple(m + t for m, t in zip(moved, out.translation)))
+    return out
+
+
+def affine_inverse(f: AffineMap) -> AffineMap:
+    inv = inverse_unimodular(f.linear)
+    return AffineMap(inv, tuple(-t for t in _fraction_apply(inv, f.translation)))
 
 
 def cyclic_relator_oracle(spec: BieberbachGroupSpec) -> tuple:
     (alpha,) = spec.screw_gens()
     word, k = alpha, 1
     while not word.is_translation():
-        word, k = word * alpha, k + 1
-    return [k], word
+        word, k = affine_product(word, alpha), k + 1
+    return [k], word.integral_translation()
+
+
+def klein_four_relator_oracle(spec: BieberbachGroupSpec) -> list:
+    a, b = spec.screw_gens()
+    words = [
+        ([2, 0], affine_product(a, a)),
+        ([0, 2], affine_product(b, b)),
+        ([0, 0], affine_product(a, b, affine_inverse(a), affine_inverse(b))),
+    ]
+    return [(exps, word.integral_translation()) for exps, word in words]
 
 
 # Trial division: the oracle for the Miller-Rabin test in
@@ -672,8 +703,8 @@ def relation_matrix_oracle(spec: BieberbachGroupSpec) -> tuple[IntMatrix, tuple]
         conj = g.linear - IntMatrix.identity(n)
         for i in range(n):
             columns.append([conj[row, i] for row in range(n)] + [0] * s)
-    for exps, word in _holonomy_relators(spec):
-        columns.append([-e for e in word.integral_translation()] + list(exps))
+    for exps, vec in _holonomy_relators(spec):
+        columns.append([-e for e in vec] + list(exps))
     rel = from_columns(columns, rows=n + s)
     words, screw_index = [], 0
     for g in spec.gens:
@@ -724,13 +755,13 @@ def from_columns(columns, rows: int | None = None) -> IntMatrix:
 def codim1_classes(base: str) -> list[tuple]:
     """Orbits of degree-one mod-2 classes (flat line bundles up to the
     automorphism action), each orbit sorted, lex-least first."""
-    action = aut_action(base)
+    aut_orbits = aut_action(base)
     seen = set()
     orbits = []
     for bits in _line_classes(base):
         if bits in seen:
             continue
-        orb = action.orbit(bits)
+        orb = aut_orbits[bits]
         seen.update(orb)
         orbits.append(orb)
     orbits.sort(key=lambda orb: orb[0])

@@ -15,13 +15,17 @@ from conftest import (
     _block_diag,
     _companion,
     _CYCLOTOMIC,
+    affine_inverse,
+    affine_product,
     cyclic_relator_oracle,
     functional_on_basis_oracle,
+    klein_four_relator_oracle,
     mapping_torus_oracle,
     orbit,
     random_cyclotomic_lattice,
     random_finite_order_matrix,
     random_matrix,
+    random_unimodular,
     relation_matrix_oracle,
 )
 from cflat import bieberbach
@@ -32,8 +36,8 @@ from cflat.bieberbach import (
     CATALOG_NAMES,
     CyclicSplitting,
     H1Element,
-    _apply_linear,
     _holonomy_relators,
+    _lattice_vector,
     abelianization,
     catalog,
     catalog_group,
@@ -47,7 +51,7 @@ from cflat.bieberbach import (
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import FlatBundleSpec, LineRep
 from cflat.glattice import GLattice, h1_oracle, h1_report, make_glattice
-from cflat.zlinalg import AbelianGroup, IntMatrix, backend, cokernel, matrix
+from cflat.zlinalg import AbelianGroup, IntMatrix, backend, cokernel, inverse_unimodular, matrix
 
 # name -> (first homology, holonomy order, holonomy cyclic)
 KNOWN = {
@@ -119,12 +123,13 @@ def test_projection_kills_relations():
 
 
 def test_affine_map_algebra():
+    """The product and inverse of the test oracles are a group's, and an
+    integral translation reads back as integers."""
     a = AffineMap(IntMatrix([[0, -1], [1, 0]]), (Fraction(1, 4), Fraction(0)))
     b = AffineMap(IntMatrix([[1, 0], [0, -1]]), (Fraction(0), Fraction(1, 2)))
     ident = translation_map(2, (0, 0))
-    assert (a * a.inverse()) == ident
-    assert (a.inverse() * a) == ident
-    assert ((a * b) * a.inverse()) == (a * (b * a.inverse()))
+    assert affine_product(a, affine_inverse(a)) == ident == affine_product(affine_inverse(a), a)
+    assert affine_product(affine_product(a, b), affine_inverse(a)) == affine_product(a, b, affine_inverse(a))
     assert translation_map(2, (1, 2)).integral_translation() == (1, 2)
     with pytest.raises(DomainError):
         translation_map(2, (Fraction(1, 2), 0)).integral_translation()
@@ -164,7 +169,8 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
     IntMatrix constructor.  The public constructor, given its generators,
     sorts them into the same screws and integer vectors and states the
     same relators, so every check _of skips would have passed: at k = 1,
-    on the 1x1 reflection and on random lattices."""
+    on the 1x1 reflection and on random lattices.  The relators equal the
+    k-fold affine word."""
     rng = random.Random(SEED + 31)
     lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]])), make_glattice(IntMatrix([[-1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=10)[0]) for _ in range(49)]
@@ -186,15 +192,15 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
         checked = BieberbachGroupSpec(got.name, got.dim, got.gens)
         assert (got._screws, got._translations) == (checked._screws, checked._translations), got.name
         assert _holonomy_relators(got) == _holonomy_relators(checked), got.name
+        assert _holonomy_relators(got) == ([cyclic_relator_oracle(got)] if got._screws else []), got.name
 
 
-def test_an_h1_query_reads_one_translation_back(monkeypatch):
+def test_an_h1_query_reads_no_translation_back(monkeypatch):
     """A mapping torus hands its spec the integer vectors of its
-    generators, so an h1 query (the report, the mapping torus's holonomy
-    and torsion two ways) runs integral_translation on no generator: at
-    k = 1 on nothing, and at k > 1 once, on the cyclic relator, in
-    abelianization.  The spec's vectors are those of the validating
-    construction."""
+    generators and its cyclic relator as a lattice vector, so an h1 query
+    (the report, the mapping torus's holonomy and torsion two ways) runs
+    integral_translation on nothing, at k = 1 and at k > 1.  The spec's
+    vectors are those of the validating construction."""
     rng = random.Random(SEED + 32)
     lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0]) for _ in range(20)]
@@ -213,10 +219,7 @@ def test_an_h1_query_reads_one_translation_back(monkeypatch):
         spec = mapping_torus(lat)
         holonomy_group(spec)
         tors_h1_two_ways(lat)
-        if lat.order == 1:  # every generator is a unit translation, with no relator
-            assert read == []
-        else:
-            assert len(read) == 1 and read[0] is spec._cyclic_relator[1]
+        assert read == [], lat.order
         assert spec._translations == want
 
 
@@ -341,8 +344,8 @@ def test_mapping_torus_of_reflection_is_klein():
 
 
 def test_cyclic_relator_is_the_holonomy_norm():
-    """With one screw alpha = (L, t) the relator alpha^k is (1, N t), N the
-    sum of the holonomy group; it equals the k-fold affine word."""
+    """With one screw alpha = (L, t) the relator alpha^k is ([k], N t), N
+    the sum of the holonomy group; it equals the k-fold affine word."""
     rng = random.Random(SEED + 33)
     specs = [catalog_group(name) for name in ("K", "G2", "G3", "G4", "G5", "B1", "B2")]
     specs += [
@@ -353,23 +356,111 @@ def test_cyclic_relator_is_the_holonomy_norm():
         assert _holonomy_relators(spec) == [cyclic_relator_oracle(spec)], spec.name
 
 
+# name -> the lifted holonomy relators, (exponents, lattice vector), as the
+# affine words gave them
+RECORDED_RELATORS = {
+    "S1": [],
+    "T2": [],
+    "T3": [],
+    "K": [([2], (0, 1))],
+    "G1": [],
+    "G2": [([2], (1, 0, 0))],
+    "G3": [([3], (1, 0, 0))],
+    "G4": [([4], (1, 0, 0))],
+    "G5": [([6], (1, 0, 0))],
+    "G6": [([2, 0], (1, 0, 0)), ([0, 2], (0, 1, 0)), ([0, 0], (1, -1, -1))],
+    "B1": [([2], (0, 1, 0))],
+    "B2": [([2], (0, 0, 1))],
+    "B3": [([2, 0], (1, 0, 0)), ([0, 2], (0, 1, 0)), ([0, 0], (0, -1, 0))],
+    "B4": [([2, 0], (1, 0, 0)), ([0, 2], (0, 1, 0)), ([0, 0], (0, -1, -1))],
+}
+
+
+def test_catalog_relators_match_recorded_values():
+    assert tuple(RECORDED_RELATORS) == CATALOG_NAMES
+    for name, expected in RECORDED_RELATORS.items():
+        assert _holonomy_relators(catalog_group(name)) == expected, name
+
+
+def _relators_or_error(relators, spec):
+    try:
+        return relators(spec)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_klein_four_relators_match_the_affine_words():
+    """With two commuting involutions a and b the relators a^2, b^2 and
+    a b a^-1 b^-1 equal the affine words, or raise the same error when a
+    lift is not integral: on G6, B3, B4 and on seeded specs whose linear
+    parts are distinct sign diagonals conjugated by one unimodular
+    matrix."""
+    rng = random.Random(SEED + 35)
+    specs = [catalog_group(name) for name in ("G6", "B3", "B4")]
+    while len(specs) < 63:
+        n = rng.randint(2, 4)
+        d1, d2 = ([rng.choice((1, -1)) for _ in range(n)] for _ in range(2))
+        if d1 == d2 or min(d1) == 1 or min(d2) == 1:
+            continue
+        w = random_unimodular(rng, n)
+        lattice = tuple(translation_map(n, [int(i == j) for j in range(n)]) for i in range(n))
+        screws = tuple(
+            AffineMap(
+                w * IntMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]) * inverse_unimodular(w),
+                tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2, 2, 4))) for _ in range(n)),
+            )
+            for d in (d1, d2)
+        )
+        specs.append(BieberbachGroupSpec(f"V{len(specs)}", n, lattice + screws))
+    outcomes = []
+    for spec in specs:
+        want = _relators_or_error(klein_four_relator_oracle, spec)
+        assert _relators_or_error(_holonomy_relators, spec) == want, spec.name
+        outcomes.append(type(want))
+    assert outcomes[:3] == [list] * 3 and 10 < outcomes.count(str) < 50
+
+
+def test_a_relator_that_is_not_integral_is_refused():
+    """A lift off the lattice raises the DomainError of
+    integral_translation, for the one screw's N t and for each of the
+    three Klein four-group relators."""
+    lattice2 = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
+    lattice3 = tuple(translation_map(3, [int(i == j) for j in range(3)]) for i in range(3))
+    flip_y = AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, Fraction(1, 4)))
+    half = Fraction(1, 2)
+    a_x = IntMatrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
+    b_y = IntMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    cases = [
+        (lattice2 + (flip_y,), "translation 1/2 is not integral"),
+        (lattice3 + (AffineMap(a_x, (Fraction(1, 4), half, 0)), AffineMap(b_y, (0, half, half))), "translation 1/2 is not integral"),
+        (lattice3 + (AffineMap(a_x, (half, half, 0)), AffineMap(b_y, (0, Fraction(3, 4), half))), "translation 3/2 is not integral"),
+        (lattice3 + (AffineMap(a_x, (half, half, Fraction(1, 4))), AffineMap(b_y, (0, half, half))), "translation -1/2 is not integral"),
+    ]
+    for gens, message in cases:
+        spec = BieberbachGroupSpec("X", gens[0].dim, gens)
+        oracle = cyclic_relator_oracle if len(spec.screw_gens()) == 1 else klein_four_relator_oracle
+        assert _relators_or_error(oracle, spec) == message
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            abelianization(spec)
+
+
 def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
-    """The cyclic relator comes from the holonomy walk, not from an affine
-    word; only the Klein four-group relators compose affine maps."""
-    calls = []
-    compose = AffineMap.__mul__
+    """Every relator is a lattice vector in closed form: abelianizing a
+    mapping torus or a Klein four-group spec builds no affine map."""
+    made = []
+    post_init = AffineMap.__post_init__
 
-    def counting_mul(self, other):
-        calls.append(1)
-        return compose(self, other)
+    def counting_post_init(self):
+        made.append(1)
+        post_init(self)
 
-    monkeypatch.setattr(AffineMap, "__mul__", counting_mul)
     rng = random.Random(SEED + 34)
-    for _ in range(10):
-        abelianization(mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=4))))
-    assert calls == []
-    abelianization(catalog_group("G6"))
-    assert calls
+    specs = [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=4))) for _ in range(10)]
+    specs += [BieberbachGroupSpec(g.name, g.dim, g.gens) for g in map(catalog_group, ("G6", "B3", "B4"))]
+    monkeypatch.setattr(AffineMap, "__post_init__", counting_post_init)
+    for spec in specs:
+        abelianization(spec)
+    assert made == []
 
 
 def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
@@ -406,17 +497,30 @@ def test_one_screw_past_the_holonomy_bound_raises(monkeypatch):
         abelianization(fresh)
 
 
-def test_integer_apply_linear_matches_the_fraction_formula():
+def test_lattice_vector_matches_the_fraction_formula():
+    """The sum of m t over one or two terms, in integers over the common
+    denominator, equals the Fraction sum; a sum that is not integral
+    raises at its first fractional entry."""
     rng = random.Random(SEED + 38)
-    for _ in range(200):
-        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-        m = random_matrix(rng, rows, cols, 4) if rows else IntMatrix.zeros(0, cols)
-        vec = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(cols))
-        expected = tuple(
-            sum((Fraction(m[i, j]) * vec[j] for j in range(cols)), Fraction(0)) for i in range(rows)
-        )
-        got = _apply_linear(m, vec)
-        assert got == expected and all(isinstance(t, Fraction) for t in got)
+    integral = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(0, 5)
+        terms = []
+        for _ in range(rng.randint(1, 2)):
+            m = random_matrix(rng, rows, cols, 4)
+            terms.append((m, tuple(Fraction(rng.randint(-20, 20), rng.choice((1, 1, 2, 4, 6))) for _ in range(cols))))
+        expected = [
+            sum((Fraction(m[i, j]) * vec[j] for m, vec in terms for j in range(cols)), Fraction(0)) for i in range(rows)
+        ]
+        fractional = [t for t in expected if t.denominator != 1]
+        if fractional:
+            with pytest.raises(DomainError, match=f"^translation {fractional[0]} is not integral$"):
+                _lattice_vector(*terms)
+        else:
+            integral += 1
+            got = _lattice_vector(*terms)
+            assert got == tuple(expected) and all(type(t) is int for t in got)
+    assert 50 < integral < 250
 
 
 def test_unimodular_inverse_is_built_only_when_read(monkeypatch):
@@ -519,9 +623,8 @@ def test_cyclic_splitting_of_a_spec_with_torsion_ends_in_an_internal_check():
 
 
 def test_each_splitting_check_fires(monkeypatch):
-    """The relator-lift check of abelianization and the two checks of
-    cyclic_splitting that no torsion-free spec reaches, each fed one
-    wrong value."""
+    """The two checks of cyclic_splitting that no torsion-free spec
+    reaches, each fed one wrong value."""
     spec = catalog_group("K")
     expected = cyclic_splitting(spec)
     abelianize = bieberbach.abelianization
@@ -534,7 +637,6 @@ def test_each_splitting_check_fires(monkeypatch):
         return (0,) * self.group.free_rank, (0,) * len(self.group.torsion)
 
     faults = [
-        ((bieberbach, "_holonomy_relators", lambda s: [([2], s.screw_gens()[0])]), "^holonomy relator lift is not a translation$"),
         ((bieberbach, "abelianization", no_free_rank), "^cyclic holonomy with no free homology$"),
         ((AbelianizationData, "functional_on_basis", zero_character), "^holonomy character is not surjective on free homology$"),
     ]
@@ -647,10 +749,11 @@ def test_abelianization_matches_the_column_construction():
 
 
 def test_a_built_spec_tests_only_relator_words(monkeypatch):
-    """A spec sorts its generators when it is built: screw_gens and
-    abelianization then call is_translation and integral_translation on
-    the lifted relator words only, once each.  Neither they nor the
-    cyclic splitting build an IntMatrix through the checked constructor."""
+    """A spec sorts its generators when it is built, and its relators are
+    lattice vectors in closed form: screw_gens and abelianization then
+    call is_translation and integral_translation on no generator and no
+    relator.  Neither they nor the cyclic splitting build an IntMatrix
+    through the checked constructor."""
     rng = random.Random(SEED + 40)
     specs = [catalog_group(name) for name in CATALOG_NAMES]
     specs += [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=5))) for _ in range(20)]
@@ -678,9 +781,8 @@ def test_a_built_spec_tests_only_relator_words(monkeypatch):
         tested.clear()
         screws = spec.screw_gens()
         ab = abelianization(spec)
-        relators = ab.relation_matrix.cols - spec.dim * len(screws)
-        assert [name for name, _ in tested] == ["is_translation", "integral_translation"] * relators
-        assert not any(word is g for _, word in tested for g in spec.gens), spec.name
+        assert tested == [], spec.name
+        assert ab.relation_matrix.cols == spec.dim * len(screws) + len(_holonomy_relators(spec)), spec.name
         if is_holonomy_cyclic(spec) and ab.group.free_rank:
             cyclic_splitting(spec)
     assert inits == []

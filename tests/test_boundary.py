@@ -31,10 +31,10 @@ REFLECTION = IntMatrix([[-1]])
 BOUNDARY = [
     ("AffineMap, non-square linear part", lambda: AffineMap(ROW, (0,)), DomainError, "affine generator needs a square linear part"),
     ("AffineMap, translation length", lambda: AffineMap(IntMatrix.identity(2), (0,)), DomainError, "translation length does not match the dimension"),
-    ("AffineMap product, dimensions", lambda: AffineMap(ONE, (1,)) * AffineMap(IntMatrix.identity(2), (0, 1)), DomainError, "dimension mismatch in affine composition"),
     ("BieberbachGroupSpec, generator dimension", lambda: BieberbachGroupSpec("bad", 2, (AffineMap(ONE, (1,)),)), DomainError, "generator dimension 1 != 2"),
     ("AbelianizationData.project, length", lambda: abelianization(catalog_group("K")).project((1,)), DomainError, "expected length 3, got 1"),
     ("AbelianizationData.functional_on_basis, length", lambda: abelianization(catalog_group("K")).functional_on_basis((0,), 2), DomainError, "functional length mismatch"),
+    ("abelianization, relator off the lattice", lambda: abelianization(BieberbachGroupSpec("quarter", 2, (AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, Fraction(1, 4))),))), DomainError, "translation 1/2 is not integral"),
     ("abelianization, three screws", lambda: abelianization(BieberbachGroupSpec("three", 1, (AffineMap(REFLECTION, (0,)),) * 3)), DomainError, "unsupported holonomy: 3 screw generators"),
     ("diffeo_classes, base that is not a surface", lambda: diffeo_classes("G1", 5), DomainError, "classification implemented over"),
     ("line_with_w1, bit-vector length", lambda: line_with_w1("K", (1,)), DomainError, "bit-vector length mismatch"),

@@ -10,10 +10,17 @@ from math import gcd
 
 import pytest
 
-from conftest import SEED, cup_oracle, det_line_oracle, evaluate_on_generator, sw_vector_pairwise
+from conftest import (
+    SEED,
+    cup_oracle,
+    det_line_oracle,
+    evaluate_on_generator,
+    random_cyclotomic_lattice,
+    sw_vector_pairwise,
+)
 from cflat import cli, flatbundle
-from cflat.bieberbach import CATALOG_NAMES
-from cflat.classify import _line_classes, diffeo_classes, stably_diffeomorphic
+from cflat.bieberbach import CATALOG_NAMES, abelianization, mapping_torus
+from cflat.classify import _line_classes, aut_action, diffeo_classes, stably_diffeomorphic
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import (
     C1Class,
@@ -35,6 +42,8 @@ from cflat.flatbundle import (
     validate_line,
     w1_of_line,
 )
+from cflat.glattice import make_glattice
+from cflat.zlinalg import IntMatrix
 
 F = Fraction
 
@@ -567,18 +576,16 @@ _FRACTION_OPS = (
 )
 
 
-def test_whitney_data_runs_no_fraction_operator(monkeypatch):
-    """Performance pin: Whitney data, stable comparison and the class
-    oracle on real bundles over S1, T2 and K build no Fraction and call
-    no Fraction operator.  The cup table refuses a pair it does not
-    hold."""
-    rng = random.Random(SEED + 61)
-    half, zero = F(1, 2), F(0)
-    reps = []
-    for base, free, tors in (("S1", 1, 0), ("T2", 2, 0), ("K", 1, 1)):
-        for _ in range(6):
-            angles = [rng.choice((zero, half)) for _ in range(free + tors)]
-            reps.append((base, angles[:free], angles[free:], rng.randint(1, 6)))
+def _clear_base_caches():
+    """Empty the per-base caches, so a pin counts the cold path whatever
+    ran before it in the process."""
+    for cached in (base_data, cup_table, aut_action):
+        cached.cache_clear()
+
+
+def _count_fraction_operators(monkeypatch) -> list:
+    """Record the name of every Fraction operator called, and every
+    Fraction built, until the monkeypatch is undone."""
     calls = []
 
     def counting(name):
@@ -592,6 +599,23 @@ def test_whitney_data_runs_no_fraction_operator(monkeypatch):
 
     for name in _FRACTION_OPS:
         monkeypatch.setattr(Fraction, name, counting(name))
+    return calls
+
+
+def test_whitney_data_runs_no_fraction_operator(monkeypatch):
+    """Performance pin: Whitney data, stable comparison and the class
+    oracle on real bundles over S1, T2 and K build no Fraction and call
+    no Fraction operator, from cold per-base caches.  The cup table
+    refuses a pair it does not hold."""
+    rng = random.Random(SEED + 61)
+    half, zero = F(1, 2), F(0)
+    reps = []
+    for base, free, tors in (("S1", 1, 0), ("T2", 2, 0), ("K", 1, 1)):
+        for _ in range(6):
+            angles = [rng.choice((zero, half)) for _ in range(free + tors)]
+            reps.append((base, angles[:free], angles[free:], rng.randint(1, 6)))
+    _clear_base_caches()
+    calls = _count_fraction_operators(monkeypatch)
     for base, free, tors, copies in reps:
         bundle = FlatBundleSpec(base, (LineRep("real", tuple(free), tuple(tors)),) * copies)
         vec = sw_vector(bundle)
@@ -608,3 +632,27 @@ def test_whitney_data_runs_no_fraction_operator(monkeypatch):
     for a in ((2, 0), (1, -1), [1, 0]):
         with pytest.raises(DomainError, match="^a mod-2 class is not a tuple of bits 0 and 1$"):
             table.cup(a, (1, 0))
+
+
+def test_cold_catalog_runs_no_fraction_operator(monkeypatch):
+    """Performance pin: from cold per-base caches, the base data of all
+    14 catalog groups, the cup tables and automorphism orbits of the
+    surfaces, and the abelianizations of 20 mapping tori call no Fraction
+    operator.  The one Fraction built is each mapping torus's screw
+    translation 1/k, at k > 1."""
+    rng = random.Random(SEED + 62)
+    lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]]))]
+    lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0]) for _ in range(19)]
+    screws = sum(lat.order > 1 for lat in lattices)
+    assert screws == 19
+    _clear_base_caches()
+    calls = _count_fraction_operators(monkeypatch)
+    for name in CATALOG_NAMES:
+        base_data(name)
+    for base in flatbundle.SURFACES:
+        cup_table(base)
+        aut_action(base)
+    for lat in lattices:
+        abelianization(mapping_torus(lat))
+    monkeypatch.undo()
+    assert calls == ["__new__"] * screws
