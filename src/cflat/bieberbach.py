@@ -9,11 +9,17 @@ computed invariant-factor coordinates), mapping tori of lattice
 automorphisms, and the splitting of first homology along a cyclic
 holonomy character.
 
-Presentations are mechanical: generators are the full lattice basis
-plus the listed non-translation generators; relations are the
-conjugation action on the lattice and the lifts of the holonomy
-group's defining relators (cyclic, or the Klein four-group).  First
-homology is the cokernel of the resulting relation matrix.
+A spec lists only its screws, the generators whose linear part is not
+the identity: a Bieberbach group is generated by its lattice and one
+lift per holonomy generator (Charlap, *Bieberbach Groups and Flat
+Manifolds*, 1986, ch. I), and the lattice Z^dim is always implied.
+
+Presentations are mechanical: generators are the lattice basis plus the
+listed screws, in that order (e_1, ..., e_dim, then the screws);
+relations are the conjugation action on the lattice and the lifts of
+the holonomy group's defining relators (cyclic, or the Klein
+four-group).  First homology is the cokernel of the resulting relation
+matrix.
 
 Each lifted relator is a translation, stated in closed form (Charlap,
 *Bieberbach Groups and Flat Manifolds*, 1986) and read in integers over
@@ -30,21 +36,16 @@ b^2 = (I + B) t and a b a^-1 b^-1 = (I - B) s - (I - A) t.
 Every finite walk here -- the holonomy closure, walked once per spec,
 and the powers of a cyclic generator -- is the bounded breadth-first
 ``orbit`` of ``cflat.orbit``.
-
-A spec sorts its generators once, when it is built (a mapping torus
-hands them to ``BieberbachGroupSpec._of`` already sorted), and the code
-below reads its screws and translation vectors instead of testing them
-again.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, InternalCheckError
 from .glattice import GLattice
@@ -54,7 +55,6 @@ from .zlinalg.snf import SNFDecomposition, inverse_unimodular
 
 _HOLONOMY_BOUND = 1000
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ======================================================================
@@ -84,18 +84,6 @@ class AffineMap:
     def dim(self) -> int:
         return self.linear.rows
 
-    def is_translation(self) -> bool:
-        return self.linear.is_identity()
-
-    def integral_translation(self) -> tuple[int, ...]:
-        """The translation vector, required to be integral."""
-        out = []
-        for t in self.translation:
-            if t.denominator != 1:
-                raise DomainError(f"translation {t} is not integral")
-            out.append(t.numerator)
-        return tuple(out)
-
 
 def _lattice_vector(*terms: tuple[IntMatrix, Sequence[Fraction]]) -> tuple[int, ...]:
     """The sum of m @ t over the terms (m, t), which must be a lattice
@@ -109,29 +97,16 @@ def _lattice_vector(*terms: tuple[IntMatrix, Sequence[Fraction]]) -> tuple[int, 
     return tuple(x // den for x in total)
 
 
-def translation_map(dim: int, vec: Sequence[Fraction | int]) -> AffineMap:
-    return AffineMap(IntMatrix.identity(dim), tuple(vec))
-
-
-@lru_cache(maxsize=None)
-def _unit_translations(dim: int) -> tuple[AffineMap, ...]:
-    """The lattice basis e_1, ..., e_dim as translations; one shared
-    tuple per dimension, as ``IntMatrix.identity`` is shared."""
-    ident = IntMatrix.identity(dim)
-    return tuple(AffineMap(ident, (_ZERO,) * i + (_ONE,) + (_ZERO,) * (dim - 1 - i)) for i in range(dim))
-
-
 @dataclass(frozen=True)
 class BieberbachGroupSpec:
     """A named crystallographic group with translation lattice Z^dim.
 
-    The listed generators together with the lattice basis generate the
-    group; torsion-freeness (and the lattice being exactly Z^dim) is
-    catalog data the algorithms trust rather than verify.
+    The lattice basis plus the listed screws generate the group.  Each
+    screw has a unimodular linear part other than the identity: a
+    translation is already a lattice vector, and listing one is refused.
+    Torsion-freeness (and the lattice being exactly Z^dim) is catalog
+    data the algorithms trust rather than verify.
 
-    The generators are sorted once: ``_screws`` keeps the screws, and
-    ``_translations`` each generator's integer vector (None for a screw),
-    read off its Fractions by ``integral_translation``.
     ``_cyclic_relator`` is (k, e_(n+1)), the exponent and lattice vector
     of alpha^k for the one screw alpha of a mapping torus, given to ``_of``
     by ``mapping_torus``; None for every other spec.
@@ -139,45 +114,34 @@ class BieberbachGroupSpec:
 
     name: str
     dim: int
-    gens: tuple[AffineMap, ...]
-    _screws: tuple[AffineMap, ...] = field(init=False, compare=False, repr=False)
-    _translations: tuple[tuple[int, ...] | None, ...] = field(init=False, compare=False, repr=False)
+    screws: tuple[AffineMap, ...]
     _cyclic_relator: tuple[int, tuple[int, ...]] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        screws, translations = [], []
-        for g in self.gens:
+        for g in self.screws:
             if g.dim != self.dim:
                 raise DomainError(f"generator dimension {g.dim} != {self.dim}")
-            if g.is_translation():
-                translations.append(g.integral_translation())  # raises if fractional
-            elif abs(g.linear.det()) != 1:
+            if g.linear.is_identity():
+                raise DomainError("a screw with the identity linear part is a translation, already in the lattice")
+            if abs(g.linear.det()) != 1:
                 raise DomainError("generator linear part is not unimodular")
-            else:
-                screws.append(g)
-                translations.append(None)
-        object.__setattr__(self, "_screws", tuple(screws))
-        object.__setattr__(self, "_translations", tuple(translations))
 
     @classmethod
-    def _of(cls, name, dim, gens, translations, cyclic_relator) -> "BieberbachGroupSpec":
-        """A spec from its generators, their integer vectors (None for a
-        screw) and its cyclic relator, unchecked, like ``IntMatrix._of``:
-        only for parts computed from checked input, as by ``mapping_torus``."""
+    def _of(cls, name, dim, screws, cyclic_relator) -> "BieberbachGroupSpec":
+        """A spec from its screws and its cyclic relator, unchecked, like
+        ``IntMatrix._of``: only for parts computed from checked input, as
+        by ``mapping_torus``."""
         self = object.__new__(cls)
-        screws = tuple(g for g, vec in zip(gens, translations) if vec is None)
-        for f, value in zip(fields(cls), (name, dim, gens, screws, translations, cyclic_relator)):
-            object.__setattr__(self, f.name, value)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "screws", screws)
+        object.__setattr__(self, "_cyclic_relator", cyclic_relator)
         return self
-
-    def screw_gens(self) -> tuple[AffineMap, ...]:
-        """The listed generators with nontrivial linear part."""
-        return self._screws
 
     @cached_property
     def _holonomy(self) -> tuple[IntMatrix, ...]:
         """The holonomy walk, once per spec; read it through ``holonomy_group``."""
-        moves = [lambda m, g=g.linear: m * g for g in self.screw_gens()]
+        moves = [lambda m, g=g.linear: m * g for g in self.screws]
         overflow = DomainError(f"holonomy closure exceeded bound {_HOLONOMY_BOUND}")
         return tuple(orbit(IntMatrix.identity(self.dim), moves, _HOLONOMY_BOUND, overflow))
 
@@ -235,7 +199,7 @@ class AbelianizationData:
     """First homology of a group spec plus the projection machinery.
 
     ``group`` is Z^b + torsion chain.  Presentation coordinates are
-    Z^(dim + s) where s counts the listed non-translation generators;
+    Z^(dim + s), over e_1, ..., e_dim and then the s screws;
     ``project`` maps a presentation vector to invariant coordinates and
     kills exactly the relation lattice.
     """
@@ -246,7 +210,6 @@ class AbelianizationData:
     dec: SNFDecomposition
     free_positions: tuple[int, ...]
     torsion_positions: tuple[int, ...]
-    gen_words: tuple[tuple[int, ...], ...]  # listed generator -> presentation vector
 
     @cached_property
     def u_inv(self) -> IntMatrix:
@@ -270,8 +233,9 @@ class AbelianizationData:
         return H1Element(free=free, torsion=tors)
 
     def gen_image(self, idx: int) -> H1Element:
-        """Class of the idx-th listed generator."""
-        return self.project(self.gen_words[idx])
+        """Class of the idx-th presentation generator: e_1, ..., e_dim,
+        then the screws."""
+        return self.project(IntMatrix.identity(self.n_presentation_gens).row(idx))
 
     def functional_on_basis(
         self, gen_values: Sequence[int], modulus: int
@@ -301,9 +265,9 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], tuple
     generators, one (cyclic holonomy), or two commuting involutions (Klein
     four-group holonomy).  Each lift is a translation in closed form:
 
-    - one screw alpha = (L, t), the other generators translations: the
-      holonomy is <L>, of order k, and alpha^k = N t with N = L^0 + ... +
-      L^(k-1) its norm; a mapping torus lists this relator, (k, e_(n+1));
+    - one screw alpha = (L, t): the holonomy is <L>, of order k, and
+      alpha^k = N t with N = L^0 + ... + L^(k-1) its norm; a mapping
+      torus lists this relator, (k, e_(n+1));
     - two commuting involutions a = (A, s) and b = (B, t), in this order:
       a^2 = (I + A) s, b^2 = (I + B) t and a b a^-1 b^-1 = (I - B) s -
       (I - A) t.  Two distinct commuting involutions always generate a
@@ -314,7 +278,7 @@ def _holonomy_relators(spec: BieberbachGroupSpec) -> list[tuple[list[int], tuple
     if spec._cyclic_relator is not None:
         k, vec = spec._cyclic_relator
         return [([k], vec)]
-    screws = spec.screw_gens()
+    screws = spec.screws
     s = len(screws)
     if s == 0:
         return []
@@ -348,7 +312,7 @@ def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
     (minus its lattice vector, its exponent vector).  Built by rows.
     """
     n = spec.dim
-    screws = spec.screw_gens()
+    screws = spec.screws
     s = len(screws)
     total = n + s
     relators = _holonomy_relators(spec)
@@ -363,9 +327,6 @@ def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
     free_pos = tuple(i for i, d in enumerate(full) if d == 0)
     tors_pos = tuple(i for i, d in enumerate(full) if d >= 2)
     group = AbelianGroup(len(free_pos), tuple(full[i] for i in tors_pos))
-    # a translation's word is its vector; the i-th screw's is e_(n+i)
-    screw_words = map(IntMatrix.identity(total).row, range(n, total))
-    gen_words = [next(screw_words) if vec is None else vec + (0,) * s for vec in spec._translations]
     return AbelianizationData(
         spec=spec,
         group=group,
@@ -373,7 +334,6 @@ def abelianization(spec: BieberbachGroupSpec) -> AbelianizationData:
         dec=dec,
         free_positions=free_pos,
         torsion_positions=tors_pos,
-        gen_words=tuple(gen_words),
     )
 
 
@@ -392,9 +352,10 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
 
     Built by ``BieberbachGroupSpec._of`` on every call, from parts that
     need no check: the lattice checked g0 when it was made, g0 (+) 1 is
-    unimodular with g0, and the lattice vectors are the rows of the
-    identity.  Its order is the order of g0, which the closed-form
-    relator needs; only an order past the holonomy bound is refused here.
+    unimodular with g0, and e_(n+1) is a row of the identity.  At k = 1
+    there is no screw: the extra generator is the lattice vector e_(n+1).
+    Its order is the order of g0, which the closed-form relator needs;
+    only an order past the holonomy bound is refused here.
     """
     n = lat.rank
     k = lat.order
@@ -402,14 +363,12 @@ def mapping_torus(lat: GLattice) -> BieberbachGroupSpec:
     g0 = lat.g0
     if k > _HOLONOMY_BOUND:
         raise DomainError(f"order {k} exceeds the holonomy bound {_HOLONOMY_BOUND} of a mapping torus")
-    units = _unit_translations(dim)
-    vectors = tuple(map(IntMatrix.identity(dim).row, range(dim)))
     name = f"MT{dim}k{k}"
-    if k == 1:  # g0 = 1: the extra generator is the translation e_(n+1)
-        return BieberbachGroupSpec._of(name, dim, units, vectors, None)
+    if k == 1:  # g0 = 1: the torus, no screw
+        return BieberbachGroupSpec._of(name, dim, (), None)
     block = IntMatrix._of([g0.row(i) + (0,) for i in range(n)] + [(0,) * n + (1,)], dim)
     screw = AffineMap(block, (_ZERO,) * n + (Fraction(1, k),))
-    return BieberbachGroupSpec._of(name, dim, units[:n] + (screw,), vectors[:n] + (None,), (k, vectors[n]))
+    return BieberbachGroupSpec._of(name, dim, (screw,), (k, IntMatrix.identity(dim).row(n)))
 
 
 def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
@@ -467,8 +426,7 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     exponent = {power: e for e, power in enumerate(powers)}
     ab = abelianization(spec)
     n = spec.dim
-    screws = spec.screw_gens()
-    gen_values = [0] * n + [exponent[g.linear] for g in screws]
+    gen_values = [0] * n + [exponent[g.linear] for g in spec.screws]
     free_vals, tors_vals = ab.functional_on_basis(gen_values, k)
     if any(v % k for v in tors_vals):
         raise InternalCheckError(
@@ -518,7 +476,7 @@ def _screw(linear: IntMatrix, *tr) -> AffineMap:
 
 
 def _torus(name: str, dim: int) -> BieberbachGroupSpec:
-    return BieberbachGroupSpec(name=name, dim=dim, gens=_unit_translations(dim))
+    return BieberbachGroupSpec(name=name, dim=dim, screws=())
 
 
 def _rot3() -> IntMatrix:
@@ -545,48 +503,43 @@ def _axis_block(rot: IntMatrix) -> IntMatrix:
 
 
 def _build_catalog() -> dict[str, BieberbachGroupSpec]:
-    t3 = _unit_translations(3)
     cat: dict[str, BieberbachGroupSpec] = {}
     cat["S1"] = _torus("S1", 1)
     cat["T2"] = _torus("T2", 2)
     cat["T3"] = _torus("T3", 3)
-    # flat Klein bottle: one translation and one glide
+    # flat Klein bottle: one glide
     cat["K"] = BieberbachGroupSpec(
         name="K",
         dim=2,
-        gens=(
-            translation_map(2, [1, 0]),
-            _screw(_diag(-1, 1), 0, Fraction(1, 2)),
-        ),
+        screws=(_screw(_diag(-1, 1), 0, Fraction(1, 2)),),
     )
     # orientable 3-dimensional groups: screw motions along the x-axis
     cat["G1"] = _torus("G1", 3)
     cat["G2"] = BieberbachGroupSpec(
         name="G2",
         dim=3,
-        gens=(*t3, _screw(_diag(1, -1, -1), Fraction(1, 2), 0, 0)),
+        screws=(_screw(_diag(1, -1, -1), Fraction(1, 2), 0, 0),),
     )
     cat["G3"] = BieberbachGroupSpec(
         name="G3",
         dim=3,
-        gens=(*t3, _screw(_axis_block(_rot3()), Fraction(1, 3), 0, 0)),
+        screws=(_screw(_axis_block(_rot3()), Fraction(1, 3), 0, 0),),
     )
     cat["G4"] = BieberbachGroupSpec(
         name="G4",
         dim=3,
-        gens=(*t3, _screw(_axis_block(_rot4()), Fraction(1, 4), 0, 0)),
+        screws=(_screw(_axis_block(_rot4()), Fraction(1, 4), 0, 0),),
     )
     cat["G5"] = BieberbachGroupSpec(
         name="G5",
         dim=3,
-        gens=(*t3, _screw(_axis_block(_rot6()), Fraction(1, 6), 0, 0)),
+        screws=(_screw(_axis_block(_rot6()), Fraction(1, 6), 0, 0),),
     )
     # Klein four-group holonomy: two half-turn screws on skew axes
     cat["G6"] = BieberbachGroupSpec(
         name="G6",
         dim=3,
-        gens=(
-            *t3,
+        screws=(
             _screw(_diag(1, -1, -1), Fraction(1, 2), Fraction(1, 2), 0),
             _screw(_diag(-1, 1, -1), 0, Fraction(1, 2), Fraction(1, 2)),
         ),
@@ -595,19 +548,18 @@ def _build_catalog() -> dict[str, BieberbachGroupSpec]:
     cat["B1"] = BieberbachGroupSpec(
         name="B1",
         dim=3,
-        gens=(*t3, _screw(_diag(-1, 1, 1), 0, Fraction(1, 2), 0)),
+        screws=(_screw(_diag(-1, 1, 1), 0, Fraction(1, 2), 0),),
     )
     swap_xy = IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     cat["B2"] = BieberbachGroupSpec(
         name="B2",
         dim=3,
-        gens=(*t3, _screw(swap_xy, 0, 0, Fraction(1, 2))),
+        screws=(_screw(swap_xy, 0, 0, Fraction(1, 2)),),
     )
     cat["B3"] = BieberbachGroupSpec(
         name="B3",
         dim=3,
-        gens=(
-            *t3,
+        screws=(
             _screw(_diag(1, -1, -1), Fraction(1, 2), 0, 0),
             _screw(_diag(1, 1, -1), 0, Fraction(1, 2), 0),
         ),
@@ -615,8 +567,7 @@ def _build_catalog() -> dict[str, BieberbachGroupSpec]:
     cat["B4"] = BieberbachGroupSpec(
         name="B4",
         dim=3,
-        gens=(
-            *t3,
+        screws=(
             _screw(_diag(1, -1, -1), Fraction(1, 2), 0, 0),
             _screw(_diag(1, 1, -1), 0, Fraction(1, 2), Fraction(1, 2)),
         ),

@@ -415,7 +415,7 @@ def tangent_w1(base: str) -> Mod2Class:
     of the holonomy representation, pushed to the homology basis."""
     data = base_data(base)
     spec = data.ab.spec
-    vals = [0] * spec.dim + [(0 if g.linear.det() == 1 else 1) for g in spec.screw_gens()]
+    vals = [0] * spec.dim + [(0 if g.linear.det() == 1 else 1) for g in spec.screws]
     free_bits, tors_bits = data.ab.functional_on_basis(vals, 2)
     row = free_bits + tors_bits
     return tuple(row[pos] for pos in data.mod2_positions)
@@ -504,18 +504,20 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
 
 
 def total_holonomy(bundle: FlatBundleSpec) -> tuple[tuple[IntMatrix, tuple[Fraction, ...]], ...]:
-    """Closure of (base linear part, summand angles) over the group
-    generators -- the holonomy image of the total space."""
+    """Closure of (base linear part, summand angles) over the presentation
+    generators -- the lattice basis, with the identity linear part, then
+    the screws -- the holonomy image of the total space."""
     data = base_data(bundle.base)
     spec = data.ab.spec
+    ident = IntMatrix.identity(spec.dim)
     moves = []
-    for idx, g in enumerate(spec.gens):
+    for idx, linear in enumerate([ident] * spec.dim + [g.linear for g in spec.screws]):
         el = data.ab.gen_image(idx)
-        step = (g.linear, tuple(_evaluate(rep, el) for rep in bundle.summands))
+        step = (linear, tuple(_evaluate(rep, el) for rep in bundle.summands))
         moves.append(lambda elt, step=step: _compose(elt, step))
-    ident = (IntMatrix.identity(spec.dim), tuple(Fraction(0) for _ in bundle.summands))
+    start = (ident, tuple(Fraction(0) for _ in bundle.summands))
     overflow = DomainError(f"total holonomy closure exceeded bound {_TOTAL_HOLONOMY_BOUND}")
-    return tuple(orbit(ident, moves, _TOTAL_HOLONOMY_BOUND, overflow))
+    return tuple(orbit(start, moves, _TOTAL_HOLONOMY_BOUND, overflow))
 
 
 def _compose(a: tuple, b: tuple) -> tuple:

@@ -12,7 +12,7 @@ from functools import partial
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd
 
-from cflat.bieberbach import AffineMap, BieberbachGroupSpec, _holonomy_relators, translation_map
+from cflat.bieberbach import AffineMap, BieberbachGroupSpec, _holonomy_relators
 from cflat.classify import _line_classes, aut_action
 from cflat.errors import DomainError
 from cflat.flatbundle import (
@@ -380,7 +380,7 @@ def epimorphism_count_oracle(rank: int, order: int) -> int:
 # two commuting involutions a and b -- with a product and an inverse of
 # their own: the oracles for cflat.bieberbach._holonomy_relators, which
 # states each lift in closed form and reads it in integers.  A lift that is
-# not integral raises integral_translation's DomainError.
+# not integral raises the DomainError that _holonomy_relators raises.
 
 
 def _fraction_apply(m: IntMatrix, vec) -> tuple:
@@ -401,22 +401,33 @@ def affine_inverse(f: AffineMap) -> AffineMap:
     return AffineMap(inv, tuple(-t for t in _fraction_apply(inv, f.translation)))
 
 
+def lattice_translation(word: AffineMap) -> tuple[int, ...]:
+    """The translation of a word, read as integers; a fractional entry
+    raises."""
+    out = []
+    for t in word.translation:
+        if t.denominator != 1:
+            raise DomainError(f"translation {t} is not integral")
+        out.append(t.numerator)
+    return tuple(out)
+
+
 def cyclic_relator_oracle(spec: BieberbachGroupSpec) -> tuple:
-    (alpha,) = spec.screw_gens()
+    (alpha,) = spec.screws
     word, k = alpha, 1
-    while not word.is_translation():
+    while not word.linear.is_identity():
         word, k = affine_product(word, alpha), k + 1
-    return [k], word.integral_translation()
+    return [k], lattice_translation(word)
 
 
 def klein_four_relator_oracle(spec: BieberbachGroupSpec) -> list:
-    a, b = spec.screw_gens()
+    a, b = spec.screws
     words = [
         ([2, 0], affine_product(a, a)),
         ([0, 2], affine_product(b, b)),
         ([0, 0], affine_product(a, b, affine_inverse(a), affine_inverse(b))),
     ]
-    return [(exps, word.integral_translation()) for exps, word in words]
+    return [(exps, lattice_translation(word)) for exps, word in words]
 
 
 # Trial division: the oracle for the Miller-Rabin test in
@@ -664,15 +675,17 @@ def snf_inplace_oracle(d, u, v):
 
 
 # The mapping torus through the validating constructors: the oracle for
-# cflat.bieberbach.mapping_torus, which builds its generators from rows
-# that were already checked.
+# cflat.bieberbach.mapping_torus, which builds its screw from rows that
+# were already checked.  At k = 1 there is no screw.
 
 
 def mapping_torus_oracle(lat) -> BieberbachGroupSpec:
     n = lat.rank
     k = lat.order
     dim = n + 1
-    gens = [translation_map(dim, [1 if j == i else 0 for j in range(dim)]) for i in range(n)]
+    name = f"MT{dim}k{k}"
+    if k == 1:
+        return BieberbachGroupSpec(name=name, dim=dim, screws=())
     block = [
         [lat.g0[i, j] if i < n and j < n else (1 if i == j else 0) for j in range(dim)]
         for i in range(dim)
@@ -681,22 +694,19 @@ def mapping_torus_oracle(lat) -> BieberbachGroupSpec:
         IntMatrix(block),
         tuple(Fraction(0) if i < n else Fraction(1, k) for i in range(dim)),
     )
-    return BieberbachGroupSpec(name=f"MT{dim}k{k}", dim=dim, gens=tuple(gens) + (screw,))
+    return BieberbachGroupSpec(name=name, dim=dim, screws=(screw,))
 
 
 # The relation matrix assembled column by column through the checked
-# constructor, the generator words read off each generator's translation
-# test, and the functional on the invariant basis as explicit sums: the
-# oracles for cflat.bieberbach.abelianization, which builds the matrix from
-# whole rows of L - 1 and reads the words off the sorted generators, and
-# for AbelianizationData.functional_on_basis, which takes two products
-# with transposes.
+# constructor, and the functional on the invariant basis as explicit sums:
+# the oracles for cflat.bieberbach.abelianization, which builds the matrix
+# from whole rows of L - 1, and for AbelianizationData.functional_on_basis,
+# which takes two products with transposes.
 
 
-def relation_matrix_oracle(spec: BieberbachGroupSpec) -> tuple[IntMatrix, tuple]:
-    """(relation matrix, generator words) of a spec."""
+def relation_matrix_oracle(spec: BieberbachGroupSpec) -> IntMatrix:
     n = spec.dim
-    screws = [g for g in spec.gens if not g.is_translation()]
+    screws = spec.screws
     s = len(screws)
     columns = []
     for g in screws:
@@ -705,17 +715,7 @@ def relation_matrix_oracle(spec: BieberbachGroupSpec) -> tuple[IntMatrix, tuple]
             columns.append([conj[row, i] for row in range(n)] + [0] * s)
     for exps, vec in _holonomy_relators(spec):
         columns.append([-e for e in vec] + list(exps))
-    rel = from_columns(columns, rows=n + s)
-    words, screw_index = [], 0
-    for g in spec.gens:
-        if g.is_translation():
-            vec = list(g.integral_translation()) + [0] * s
-        else:
-            vec = [0] * (n + s)
-            vec[n + screw_index] = 1
-            screw_index += 1
-        words.append(tuple(vec))
-    return rel, tuple(words)
+    return from_columns(columns, rows=n + s)
 
 
 def functional_on_basis_oracle(ab, gen_values, modulus: int) -> tuple | None:
@@ -731,8 +731,8 @@ def functional_on_basis_oracle(ab, gen_values, modulus: int) -> tuple | None:
 
 
 # Helpers that only tests call: a checked constructor by columns, the
-# automorphism orbits of line classes, a character's angle on a listed
-# generator, and the order of a bundle's total holonomy.
+# automorphism orbits of line classes, a character's angle on a
+# presentation generator, and the order of a bundle's total holonomy.
 
 
 def from_columns(columns, rows: int | None = None) -> IntMatrix:
@@ -769,7 +769,8 @@ def codim1_classes(base: str) -> list[tuple]:
 
 
 def evaluate_on_generator(base: str, rep: LineRep, gen_index: int) -> Fraction:
-    """The character's angle on a listed group generator (mod 1)."""
+    """The character's angle (mod 1) on the gen_index-th presentation
+    generator: e_1, ..., e_dim, then the screws."""
     return _evaluate(rep, base_data(base).ab.gen_image(gen_index))
 
 

@@ -46,7 +46,6 @@ from cflat.bieberbach import (
     is_holonomy_cyclic,
     mapping_torus,
     tors_h1_two_ways,
-    translation_map,
 )
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import FlatBundleSpec, LineRep
@@ -123,16 +122,12 @@ def test_projection_kills_relations():
 
 
 def test_affine_map_algebra():
-    """The product and inverse of the test oracles are a group's, and an
-    integral translation reads back as integers."""
+    """The product and inverse of the test oracles are a group's."""
     a = AffineMap(IntMatrix([[0, -1], [1, 0]]), (Fraction(1, 4), Fraction(0)))
     b = AffineMap(IntMatrix([[1, 0], [0, -1]]), (Fraction(0), Fraction(1, 2)))
-    ident = translation_map(2, (0, 0))
+    ident = AffineMap(IntMatrix.identity(2), (0, 0))
     assert affine_product(a, affine_inverse(a)) == ident == affine_product(affine_inverse(a), a)
     assert affine_product(affine_product(a, b), affine_inverse(a)) == affine_product(a, b, affine_inverse(a))
-    assert translation_map(2, (1, 2)).integral_translation() == (1, 2)
-    with pytest.raises(DomainError):
-        translation_map(2, (Fraction(1, 2), 0)).integral_translation()
 
 
 def test_spec_validation():
@@ -140,16 +135,6 @@ def test_spec_validation():
         BieberbachGroupSpec(
             "bad", 2, (AffineMap(IntMatrix([[2, 0], [0, 1]]), (Fraction(0),) * 2),)
         )
-    with pytest.raises(DomainError):
-        # a listed pure translation must be integral
-        BieberbachGroupSpec("bad", 1, (translation_map(1, (Fraction(1, 2),)),))
-
-
-def test_listed_integral_translations_are_absorbed():
-    base = catalog_group("K")
-    extra = translation_map(2, (3, -1))
-    widened = BieberbachGroupSpec("Kplus", 2, base.gens + (extra,))
-    assert abelianization(widened).group == abelianization(base).group
 
 
 def test_mapping_torus_homology():
@@ -165,12 +150,12 @@ def test_mapping_torus_homology():
 
 def test_mapping_torus_matches_the_validating_construction(monkeypatch):
     """The spec BieberbachGroupSpec._of builds from checked parts equals
-    the one built through the validating constructors, and calls no
-    IntMatrix constructor.  The public constructor, given its generators,
-    sorts them into the same screws and integer vectors and states the
-    same relators, so every check _of skips would have passed: at k = 1,
-    on the 1x1 reflection and on random lattices.  The relators equal the
-    k-fold affine word."""
+    the one built through the validating constructors, with the same
+    screws and the same relators, and calls no IntMatrix constructor, so
+    every check _of skips would have passed: at k = 1, on the 1x1
+    reflection and on random lattices.  The relators equal the k-fold
+    affine word.  Each lattice's order is read, and kept, by the oracle
+    before the count."""
     rng = random.Random(SEED + 31)
     lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]])), make_glattice(IntMatrix([[-1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=10)[0]) for _ in range(49)]
@@ -188,39 +173,46 @@ def test_mapping_torus_matches_the_validating_construction(monkeypatch):
     assert inits == []
     assert [lat.order for lat in lattices[:2]] == [1, 2]
     for got, want in zip(built, expected):
-        assert (got.name, got.dim, got.gens) == (want.name, want.dim, want.gens)
-        checked = BieberbachGroupSpec(got.name, got.dim, got.gens)
-        assert (got._screws, got._translations) == (checked._screws, checked._translations), got.name
-        assert _holonomy_relators(got) == _holonomy_relators(checked), got.name
-        assert _holonomy_relators(got) == ([cyclic_relator_oracle(got)] if got._screws else []), got.name
+        assert got == want, got.name
+        assert _holonomy_relators(got) == _holonomy_relators(want), got.name
+        assert _holonomy_relators(got) == ([cyclic_relator_oracle(got)] if got.screws else []), got.name
+    assert [len(spec.screws) for spec in built[:2]] == [0, 1]
 
 
-def test_an_h1_query_reads_no_translation_back(monkeypatch):
-    """A mapping torus hands its spec the integer vectors of its
-    generators and its cyclic relator as a lattice vector, so an h1 query
-    (the report, the mapping torus's holonomy and torsion two ways) runs
-    integral_translation on nothing, at k = 1 and at k > 1.  The spec's
-    vectors are those of the validating construction."""
+def test_an_h1_query_builds_no_checked_matrix(monkeypatch):
+    """A mapping torus is built from checked parts, so an h1 query (the
+    report, the mapping torus's holonomy and the torsion two ways) builds
+    no IntMatrix through the checked constructor and calls no
+    IntMatrix.det, at k = 1 and at k > 1; its spec equals the validating
+    construction's.  The lattices are fresh and the cyclotomic tables are
+    cleared, so the count is of the cold path; IntMatrix.identity's
+    shared instances are built by IntMatrix._of, warm or cold."""
     rng = random.Random(SEED + 32)
     lattices = [make_glattice(IntMatrix([[1, 0], [0, 1]]))]
     lattices += [make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0]) for _ in range(20)]
-    expected = [mapping_torus_oracle(lat)._translations for lat in lattices]
-    read = []
-    method = AffineMap.integral_translation
+    expected = [mapping_torus_oracle(lat) for lat in lattices]
+    matrix._cyclotomic.cache_clear()
+    matrix._cyclotomic_candidates.cache_clear()
+    calls = []
+    init, det = IntMatrix.__init__, IntMatrix.det
 
-    def recording(self):
-        read.append(self)
-        return method(self)
+    def counting_init(self, entries):
+        calls.append("init")
+        init(self, entries)
 
-    monkeypatch.setattr(AffineMap, "integral_translation", recording)
+    def counting_det(self):
+        calls.append("det")
+        return det(self)
+
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
     for lat, want in zip(lattices, expected):
-        read.clear()
         h1_report(lat)
         spec = mapping_torus(lat)
         holonomy_group(spec)
         tors_h1_two_ways(lat)
-        assert read == [], lat.order
-        assert spec._translations == want
+        assert calls == [], lat.order
+        assert spec == want and len(spec.screws) == (lat.order > 1)
 
 
 def test_a_lattice_made_by_hand_reports_what_make_glattice_reports():
@@ -235,8 +227,7 @@ def test_a_lattice_made_by_hand_reports_what_make_glattice_reports():
         lat, want = GLattice(IntMatrix(rows)), make_glattice(IntMatrix(rows))
         assert h1_report(lat) == h1_report(want)
         assert tors_h1_two_ways(lat) == tors_h1_two_ways(want)
-        got, spec = mapping_torus(lat), mapping_torus(want)
-        assert (got.name, got.dim, got.gens) == (spec.name, spec.dim, spec.gens)
+        assert mapping_torus(lat) == mapping_torus(want)
 
 
 def test_matrices_lattices_specs_and_bundles_copy_and_pickle():
@@ -403,7 +394,6 @@ def test_klein_four_relators_match_the_affine_words():
         if d1 == d2 or min(d1) == 1 or min(d2) == 1:
             continue
         w = random_unimodular(rng, n)
-        lattice = tuple(translation_map(n, [int(i == j) for j in range(n)]) for i in range(n))
         screws = tuple(
             AffineMap(
                 w * IntMatrix([[d[i] if i == j else 0 for j in range(n)] for i in range(n)]) * inverse_unimodular(w),
@@ -411,7 +401,7 @@ def test_klein_four_relators_match_the_affine_words():
             )
             for d in (d1, d2)
         )
-        specs.append(BieberbachGroupSpec(f"V{len(specs)}", n, lattice + screws))
+        specs.append(BieberbachGroupSpec(f"V{len(specs)}", n, screws))
     outcomes = []
     for spec in specs:
         want = _relators_or_error(klein_four_relator_oracle, spec)
@@ -421,24 +411,21 @@ def test_klein_four_relators_match_the_affine_words():
 
 
 def test_a_relator_that_is_not_integral_is_refused():
-    """A lift off the lattice raises the DomainError of
-    integral_translation, for the one screw's N t and for each of the
-    three Klein four-group relators."""
-    lattice2 = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
-    lattice3 = tuple(translation_map(3, [int(i == j) for j in range(3)]) for i in range(3))
+    """A lift off the lattice raises the oracles' DomainError, for the one
+    screw's N t and for each of the three Klein four-group relators."""
     flip_y = AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, Fraction(1, 4)))
     half = Fraction(1, 2)
     a_x = IntMatrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
     b_y = IntMatrix([[-1, 0, 0], [0, 1, 0], [0, 0, -1]])
     cases = [
-        (lattice2 + (flip_y,), "translation 1/2 is not integral"),
-        (lattice3 + (AffineMap(a_x, (Fraction(1, 4), half, 0)), AffineMap(b_y, (0, half, half))), "translation 1/2 is not integral"),
-        (lattice3 + (AffineMap(a_x, (half, half, 0)), AffineMap(b_y, (0, Fraction(3, 4), half))), "translation 3/2 is not integral"),
-        (lattice3 + (AffineMap(a_x, (half, half, Fraction(1, 4))), AffineMap(b_y, (0, half, half))), "translation -1/2 is not integral"),
+        ((flip_y,), "translation 1/2 is not integral"),
+        ((AffineMap(a_x, (Fraction(1, 4), half, 0)), AffineMap(b_y, (0, half, half))), "translation 1/2 is not integral"),
+        ((AffineMap(a_x, (half, half, 0)), AffineMap(b_y, (0, Fraction(3, 4), half))), "translation 3/2 is not integral"),
+        ((AffineMap(a_x, (half, half, Fraction(1, 4))), AffineMap(b_y, (0, half, half))), "translation -1/2 is not integral"),
     ]
-    for gens, message in cases:
-        spec = BieberbachGroupSpec("X", gens[0].dim, gens)
-        oracle = cyclic_relator_oracle if len(spec.screw_gens()) == 1 else klein_four_relator_oracle
+    for screws, message in cases:
+        spec = BieberbachGroupSpec("X", screws[0].dim, screws)
+        oracle = cyclic_relator_oracle if len(screws) == 1 else klein_four_relator_oracle
         assert _relators_or_error(oracle, spec) == message
         with pytest.raises(DomainError, match=f"^{message}$"):
             abelianization(spec)
@@ -446,7 +433,8 @@ def test_a_relator_that_is_not_integral_is_refused():
 
 def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
     """Every relator is a lattice vector in closed form: abelianizing a
-    mapping torus or a Klein four-group spec builds no affine map."""
+    mapping torus or a Klein four-group spec builds no affine map.  The
+    specs are fresh, so no relator or holonomy is kept on them."""
     made = []
     post_init = AffineMap.__post_init__
 
@@ -456,7 +444,7 @@ def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
 
     rng = random.Random(SEED + 34)
     specs = [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=4))) for _ in range(10)]
-    specs += [BieberbachGroupSpec(g.name, g.dim, g.gens) for g in map(catalog_group, ("G6", "B3", "B4"))]
+    specs += [BieberbachGroupSpec(g.name, g.dim, g.screws) for g in map(catalog_group, ("G6", "B3", "B4"))]
     monkeypatch.setattr(AffineMap, "__post_init__", counting_post_init)
     for spec in specs:
         abelianization(spec)
@@ -481,7 +469,7 @@ def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
         spec = mapping_torus(make_glattice(g0))
         abelianization(spec)
         assert walks == []
-        (screw,) = spec.screw_gens()
+        (screw,) = spec.screws
         powers = [IntMatrix.identity(spec.dim)]
         for _ in range(k - 1):
             powers.append(powers[-1] * screw.linear)
@@ -492,7 +480,7 @@ def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
 def test_one_screw_past_the_holonomy_bound_raises(monkeypatch):
     monkeypatch.setattr(bieberbach, "_HOLONOMY_BOUND", 3)
     g4 = catalog_group("G4")  # holonomy of order 4
-    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.gens)
+    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.screws)
     with pytest.raises(DomainError, match="^matrix order exceeds bound 3$"):
         abelianization(fresh)
 
@@ -545,21 +533,30 @@ def test_unimodular_inverse_is_built_only_when_read(monkeypatch):
 
 
 def test_spec_checks_determinants_of_screws_only(monkeypatch):
-    """Pure translations are only checked for integrality; the Bareiss
-    determinant runs once per non-translation generator."""
-    dets = []
-    det = IntMatrix.det
+    """The checked constructor calls IntMatrix.det once per screw, and
+    builds no IntMatrix through the checked constructor: on every catalog
+    group and on a mapping torus, rebuilt from their screws into an equal
+    spec.  The count is of calls, which the determinant a matrix keeps
+    does not hide."""
+    specs = [*catalog().values(), mapping_torus(make_glattice(IntMatrix([[0, -1], [1, 0]])))]
+    calls = []
+    init, det = IntMatrix.__init__, IntMatrix.det
+
+    def counting_init(self, entries):
+        calls.append("init")
+        init(self, entries)
 
     def counting_det(self):
-        dets.append(self.rows)
+        calls.append(self.rows)
         return det(self)
 
+    monkeypatch.setattr(IntMatrix, "__init__", counting_init)
     monkeypatch.setattr(IntMatrix, "det", counting_det)
-    spec = mapping_torus(make_glattice(IntMatrix([[0, -1], [1, 0]])))
-    assert len(spec.gens) == 3
-    dets.clear()
-    BieberbachGroupSpec(spec.name, spec.dim, spec.gens)
-    assert dets == [3]
+    for spec in specs:
+        calls.clear()
+        assert BieberbachGroupSpec(spec.name, spec.dim, spec.screws) == spec
+        assert calls == [spec.dim] * len(spec.screws), spec.name
+    assert sum(len(spec.screws) for spec in specs) == 14
 
 
 def test_torsion_two_ways():
@@ -612,11 +609,10 @@ def test_cyclic_splitting_rejects_klein_four_holonomy():
 
 
 def test_cyclic_splitting_of_a_spec_with_torsion_ends_in_an_internal_check():
-    """The unit translations of Z^2 with the reflection (x, y) -> (-x, y)
-    generate a group with torsion.  The spec does not check the
+    """The lattice Z^2 with the reflection (x, y) -> (-x, y) generates a
+    group with torsion.  The spec does not check the
     torsion-free precondition, so the splitting reaches its own check."""
-    lattice = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
-    spec = BieberbachGroupSpec("torsion", 2, lattice + (AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, 0)),))
+    spec = BieberbachGroupSpec("torsion", 2, (AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, 0)),))
     assert abelianization(spec).group == AbelianGroup(1, (2, 2))
     with pytest.raises(InternalCheckError, match="^holonomy character does not kill the torsion subgroup$"):
         cyclic_splitting(spec)
@@ -670,7 +666,7 @@ def test_holonomy_is_the_breadth_first_closure():
     for spec in specs:
         hol = holonomy_group(spec)
         ident = IntMatrix.identity(spec.dim)
-        moves = [lambda m, g=g.linear: m * g for g in spec.gens]
+        moves = [lambda m, g=g.linear: m * g for g in spec.screws]
         assert hol[0] == ident, spec.name
         assert len(set(hol)) == len(hol), spec.name
         assert set(hol) == orbit(ident, moves), spec.name
@@ -702,7 +698,7 @@ def test_cyclic_splitting_matches_recorded_values():
 def test_holonomy_walk_past_its_bound_raises(monkeypatch):
     monkeypatch.setattr(bieberbach, "_HOLONOMY_BOUND", 3)
     g4 = catalog_group("G4")  # holonomy of order 4
-    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.gens)  # nothing walked yet
+    fresh = BieberbachGroupSpec(g4.name, g4.dim, g4.screws)  # nothing walked yet
     with pytest.raises(DomainError, match="^holonomy closure exceeded bound 3$"):
         holonomy_group(fresh)
 
@@ -720,17 +716,17 @@ def test_mapping_torus_past_the_holonomy_bound_is_refused():
 
 
 def test_abelianization_matches_the_column_construction():
-    """Relation matrices and generator words equal the ones assembled by
-    columns through the checked constructor, and functionals on the
-    invariant basis equal the explicit sums: on every catalog group and
-    on 50 mapping tori, for functionals that vanish on the relations
-    (c u with c_i d_i = 0 mod m) and for random ones, which mostly do not."""
+    """Relation matrices equal the ones assembled by columns through the
+    checked constructor, and functionals on the invariant basis equal the
+    explicit sums: on every catalog group and on 50 mapping tori, for
+    functionals that vanish on the relations (c u with c_i d_i = 0 mod m)
+    and for random ones, which mostly do not."""
     rng = random.Random(SEED + 39)
     specs = [catalog_group(name) for name in CATALOG_NAMES]
     specs += [mapping_torus(make_glattice(random_cyclotomic_lattice(rng, max_rank=8)[0])) for _ in range(50)]
     for spec in specs:
         ab = abelianization(spec)
-        assert (ab.relation_matrix, ab.gen_words) == relation_matrix_oracle(spec), spec.name
+        assert ab.relation_matrix == relation_matrix_oracle(spec), spec.name
         total = ab.n_presentation_gens
         diag = ab.dec.diagonal + (0,) * total
         for modulus in (2, 3, 4, len(holonomy_group(spec)) + 1):
@@ -748,55 +744,47 @@ def test_abelianization_matches_the_column_construction():
                 assert ab.functional_on_basis(values, modulus) == want, spec.name
 
 
-def test_a_built_spec_tests_only_relator_words(monkeypatch):
-    """A spec sorts its generators when it is built, and its relators are
-    lattice vectors in closed form: screw_gens and abelianization then
-    call is_translation and integral_translation on no generator and no
-    relator.  Neither they nor the cyclic splitting build an IntMatrix
-    through the checked constructor."""
+def test_abelianization_builds_no_checked_matrix(monkeypatch):
+    """The relators are lattice vectors in closed form, so abelianization,
+    the holonomy walk and the cyclic splitting build no IntMatrix through
+    the checked constructor and call no IntMatrix.det: on fresh copies of
+    every catalog group, whose holonomy walks are cold, and on 20 mapping
+    tori.  The relation matrix has one column per screw and lattice basis
+    vector, and one per relator."""
     rng = random.Random(SEED + 40)
-    specs = [catalog_group(name) for name in CATALOG_NAMES]
+    specs = [BieberbachGroupSpec(g.name, g.dim, g.screws) for g in catalog().values()]
     specs += [mapping_torus(make_glattice(random_finite_order_matrix(rng, max_rank=5))) for _ in range(20)]
-    tested, inits = [], []
-
-    def recording(name):
-        method = getattr(AffineMap, name)
-
-        def wrapper(self):
-            tested.append((name, self))
-            return method(self)
-
-        return wrapper
-
-    for name in ("is_translation", "integral_translation"):
-        monkeypatch.setattr(AffineMap, name, recording(name))
-    init = IntMatrix.__init__
+    calls = []
+    init, det = IntMatrix.__init__, IntMatrix.det
 
     def counting_init(self, entries):
-        inits.append(1)
+        calls.append("init")
         init(self, entries)
 
+    def counting_det(self):
+        calls.append("det")
+        return det(self)
+
     monkeypatch.setattr(IntMatrix, "__init__", counting_init)
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
     for spec in specs:
-        tested.clear()
-        screws = spec.screw_gens()
         ab = abelianization(spec)
-        assert tested == [], spec.name
-        assert ab.relation_matrix.cols == spec.dim * len(screws) + len(_holonomy_relators(spec)), spec.name
+        assert ab.relation_matrix.cols == spec.dim * len(spec.screws) + len(_holonomy_relators(spec)), spec.name
         if is_holonomy_cyclic(spec) and ab.group.free_rank:
             cyclic_splitting(spec)
-    assert inits == []
+        assert calls == [], spec.name
 
 
 def test_klein_four_relators_take_no_matrix_order(monkeypatch):
     """The Klein four-group branch tests each linear part as an involution
-    by one product: no matrix order, no holonomy walk."""
+    by one product: no matrix order, no holonomy walk, on fresh specs
+    whose holonomy is not kept yet."""
     calls = []
     monkeypatch.setattr(IntMatrix, "order", lambda self, bound: calls.append("order"))
     monkeypatch.setattr(bieberbach, "holonomy_group", lambda spec: calls.append("holonomy"))
     for name in ("G6", "B3", "B4"):
         g = catalog_group(name)
-        assert abelianization(BieberbachGroupSpec(g.name, g.dim, g.gens)).group == KNOWN[name][0]
+        assert abelianization(BieberbachGroupSpec(g.name, g.dim, g.screws)).group == KNOWN[name][0]
     assert calls == []
 
 
@@ -808,9 +796,8 @@ def test_two_screws_that_are_not_commuting_involutions_are_refused():
     rot4 = IntMatrix([[0, -1], [1, 0]])
     shear = IntMatrix([[1, 1], [0, 1]])
     half = (Fraction(0), Fraction(1, 2))
-    lattice = (translation_map(2, (1, 0)), translation_map(2, (0, 1)))
     for la, lb in ((swap, flip), (flip, flip), (flip, rot4), (shear, flip)):
-        spec = BieberbachGroupSpec("X", 2, lattice + (AffineMap(la, half), AffineMap(lb, half)))
+        spec = BieberbachGroupSpec("X", 2, (AffineMap(la, half), AffineMap(lb, half)))
         with pytest.raises(
             DomainError, match="^unsupported holonomy: two screw generators that are not commuting involutions$"
         ):

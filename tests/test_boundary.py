@@ -32,6 +32,7 @@ BOUNDARY = [
     ("AffineMap, non-square linear part", lambda: AffineMap(ROW, (0,)), DomainError, "affine generator needs a square linear part"),
     ("AffineMap, translation length", lambda: AffineMap(IntMatrix.identity(2), (0,)), DomainError, "translation length does not match the dimension"),
     ("BieberbachGroupSpec, generator dimension", lambda: BieberbachGroupSpec("bad", 2, (AffineMap(ONE, (1,)),)), DomainError, "generator dimension 1 != 2"),
+    ("BieberbachGroupSpec, identity screw", lambda: BieberbachGroupSpec("bad", 2, (AffineMap(IntMatrix.identity(2), (1, 0)),)), DomainError, "a screw with the identity linear part is a translation, already in the lattice"),
     ("AbelianizationData.project, length", lambda: abelianization(catalog_group("K")).project((1,)), DomainError, "expected length 3, got 1"),
     ("AbelianizationData.functional_on_basis, length", lambda: abelianization(catalog_group("K")).functional_on_basis((0,), 2), DomainError, "functional length mismatch"),
     ("abelianization, relator off the lattice", lambda: abelianization(BieberbachGroupSpec("quarter", 2, (AffineMap(IntMatrix([[-1, 0], [0, 1]]), (0, Fraction(1, 4))),))), DomainError, "translation 1/2 is not integral"),

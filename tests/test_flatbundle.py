@@ -125,8 +125,9 @@ def test_klein_generator_values():
     """The nontrivial free character takes value 1/2 on the free
     generator and 0 on the torsion one; its class is beta."""
     lam2 = real_line(("1/2",), (0,))
-    assert evaluate_on_generator("K", lam2, 0) == F(0)  # listed translation
-    assert evaluate_on_generator("K", lam2, 1) == F(1, 2)  # the screw generator
+    assert evaluate_on_generator("K", lam2, 0) == F(0)  # e_1, the torsion generator
+    assert evaluate_on_generator("K", lam2, 1) == F(0)  # e_2, the glide's square
+    assert evaluate_on_generator("K", lam2, 2) == F(1, 2)  # the glide
     assert w1_of_line("K", lam2) == (0, 1)
     lam1 = real_line((0,), ("1/2",))
     assert w1_of_line("K", lam1) == (1, 0)
@@ -216,14 +217,15 @@ def test_tangent_w1():
 def test_tangent_w1_is_the_determinant_character():
     """Basis-independent check on every catalog base: the class of
     tangent_w1, read back as a character, takes the value det(linear)
-    on each listed generator."""
+    on each presentation generator, 0 on the lattice basis."""
     from cflat.bieberbach import CATALOG_NAMES, catalog_group
 
     for name in CATALOG_NAMES:
         spec = catalog_group(name)
         rep = line_with_w1(name, tangent_w1(name))
-        for idx, g in enumerate(spec.gens):
-            expected = F(0) if g.linear.det() == 1 else F(1, 2)
+        dets = [1] * spec.dim + [g.linear.det() for g in spec.screws]
+        for idx, det in enumerate(dets):
+            expected = F(0) if det == 1 else F(1, 2)
             assert evaluate_on_generator(name, rep, idx) == expected, name
 
 
@@ -449,6 +451,79 @@ def test_total_holonomy_orders():
             order = len(total_holonomy(FlatBundleSpec(base, summands)))
             assert order % base_order == 0
             assert order in (1, 2, 4) or base == "G3"
+
+
+# base -> (size of total_holonomy, cyclic_structure, tangent_structure) of
+# the bundles of _seeded_bundles(random.Random(SEED + 44), base), over the
+# bases in catalog order, as the walk over the listed generators gave them;
+# cyclic_structure is (trivial_rank, the angles of det_summand or None),
+# tangent_structure (parallelizable, split_line_w1), both None when the
+# total holonomy is not cyclic
+RECORDED_TOTAL_HOLONOMY = {
+    "S1": [(1, (0, None), (True, None)), (2, (2, None), (True, None)), (2, (0, ("1/2",)), (False, (1,))), (2, (0, ("1/2",)), (False, (1,)))],
+    "T2": [(1, (0, None), (True, None)), (9, None, None), (1, (1, None), (True, None)), (1, (1, None), (True, None))],
+    "T3": [(1, (0, None), (True, None)), (6, (2, None), (True, None)), (4, (2, None), (True, None)), (4, None, None)],
+    "K": [(2, (0, None), (False, (0, 1))), (12, None, None), (2, (1, None), (False, (0, 1))), (24, None, None)],
+    "G1": [(1, (0, None), (True, None)), (4, (2, None), (True, None)), (2, (0, ("1/2", "1/2", "1/2")), (False, (1, 1, 1))), (36, None, None)],
+    "G2": [(2, (0, None), (True, None)), (4, None, None), (4, None, None), (8, None, None)],
+    "G3": [(3, (0, None), (True, None)), (9, None, None), (3, (2, None), (True, None)), (36, None, None)],
+    "G4": [(4, (0, None), (True, None)), (8, None, None), (8, None, None), (8, None, None)],
+    "G5": [(6, (0, None), (True, None)), (6, (2, None), (True, None)), (6, (3, ("1/2",)), (False, (1,))), (6, (2, None), (True, None))],
+    "G6": [(4, None, None), (8, None, None), (4, None, None), (8, None, None)],
+    "B1": [(2, (0, None), (False, (0, 1, 0))), (24, None, None), (4, None, None), (8, None, None)],
+    "B2": [(2, (0, None), (False, (0, 1))), (4, None, None), (8, None, None), (12, None, None)],
+    "B3": [(4, None, None), (8, None, None), (24, None, None), (8, None, None)],
+    "B4": [(4, None, None), (4, None, None), (4, None, None), (4, None, None)],
+}
+
+
+def _seeded_bundles(rng, base):
+    """The bundle with no summand, then three of one to three summands:
+    real lines of random w1, or complex lines with free angles of
+    denominator at most 4 and random angles on the torsion generators."""
+    group = base_data(base).ab.group
+    bits = len(base_data(base).mod2_positions)
+    bundles = [FlatBundleSpec(base, ())]
+    for _ in range(3):
+        summands = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                summands.append(line_with_w1(base, tuple(rng.randint(0, 1) for _ in range(bits))))
+            else:
+                free = tuple(F(rng.randrange(q), q) for q in (rng.choice((1, 2, 3, 4)) for _ in range(group.free_rank)))
+                summands.append(LineRep("complex", free, tuple(F(rng.randrange(d), d) for d in group.torsion)))
+        bundles.append(FlatBundleSpec(base, tuple(summands)))
+    return bundles
+
+
+def test_total_holonomy_is_closed_and_matches_recorded_values():
+    """On every catalog base, the total holonomy of seeded bundles holds
+    the identity and is closed under the move of every presentation
+    generator (e_1, ..., e_dim with the identity linear part, then the
+    screws), so it is the group they generate; its size and the
+    cyclic_structure and tangent_structure answers equal the recorded
+    ones.  The walk order is not pinned."""
+    rng = random.Random(SEED + 44)
+    assert tuple(RECORDED_TOTAL_HOLONOMY) == CATALOG_NAMES
+    for base, expected in RECORDED_TOTAL_HOLONOMY.items():
+        spec = base_data(base).ab.spec
+        linears = [IntMatrix.identity(spec.dim)] * spec.dim + [g.linear for g in spec.screws]
+        got = []
+        for bundle in _seeded_bundles(rng, base):
+            hol = set(total_holonomy(bundle))
+            assert (IntMatrix.identity(spec.dim), (F(0),) * len(bundle.summands)) in hol, base
+            for idx, linear in enumerate(linears):
+                angles = [evaluate_on_generator(base, rep, idx) for rep in bundle.summands]
+                for m, a in hol:
+                    assert (m * linear, tuple((x + y) % 1 for x, y in zip(a, angles))) in hol, base
+            try:
+                cyclic, tangent = cyclic_structure(bundle), tangent_structure(bundle)
+            except DomainError:
+                got.append((len(hol), None, None))
+                continue
+            det = cyclic.det_summand and tuple(str(v) for v in cyclic.det_summand.free + cyclic.det_summand.torsion)
+            got.append((len(hol), (cyclic.trivial_rank, det), (tangent.parallelizable, tangent.split_line_w1)))
+        assert got == expected, base
 
 
 def test_total_holonomy_walk_past_its_bound_raises(monkeypatch):
