@@ -34,13 +34,12 @@ For two commuting involutions a = (A, s) and b = (B, t), a^2 = (I + A) s,
 b^2 = (I + B) t and a b a^-1 b^-1 = (I - B) s - (I - A) t.
 
 Every finite walk here -- the holonomy closure, walked once per spec,
-and the powers of a cyclic generator -- is the bounded breadth-first
-``orbit`` of ``cflat.orbit``.
+and the powers of a cyclic generator, which give the holonomy character
+-- is the bounded breadth-first ``orbit`` of ``cflat.orbit``.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -163,14 +162,14 @@ def holonomy_group(spec: BieberbachGroupSpec) -> tuple[IntMatrix, ...]:
     return spec._holonomy
 
 
-def _cyclic_powers(hol: Sequence, multiply=operator.mul) -> tuple | None:
+def _cyclic_powers(hol: Sequence[IntMatrix]) -> tuple[IntMatrix, ...] | None:
     """Powers g^0, ..., g^(k-1) of the first element g of the finite
-    group ``hol`` (identity first, k elements) that generates it, or
-    None when the group is not cyclic."""
+    matrix group ``hol`` (identity first, k elements) that generates it,
+    or None when the group is not cyclic."""
     k = len(hol)
     overflow = InternalCheckError("a cyclic subgroup outgrew its group")
     for g in hol:
-        powers = tuple(orbit(hol[0], [lambda m, g=g: multiply(m, g)], k, overflow))
+        powers = tuple(orbit(hol[0], [lambda m, g=g: m * g], k, overflow))
         if len(powers) == k:
             return powers
     return None
@@ -407,6 +406,20 @@ class CyclicSplitting:
     holonomy_order: int
 
 
+def _holonomy_character(ab: AbelianizationData) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """k and the holonomy character's values mod k on H_1's free and
+    torsion basis, when the holonomy of ``ab.spec`` is cyclic of order k
+    (a screw maps to its exponent, a lattice vector to 0); else None."""
+    spec = ab.spec
+    powers = _cyclic_powers(holonomy_group(spec))
+    if powers is None:
+        return None
+    exponent = {power: e for e, power in enumerate(powers)}
+    k = len(powers)
+    gen_values = [0] * spec.dim + [exponent[g.linear] for g in spec.screws]
+    return (k, *ab.functional_on_basis(gen_values, k))
+
+
 def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     """Split H_1 along the holonomy character.
 
@@ -418,16 +431,10 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     the torsion-free group that ``BieberbachGroupSpec`` requires and does
     not check: a spec with torsion can end in ``InternalCheckError``.
     """
-    hol = holonomy_group(spec)
-    k = len(hol)
-    powers = _cyclic_powers(hol)
-    if powers is None:
-        raise DomainError(f"holonomy of {spec.name} is not cyclic (order {k})")
-    exponent = {power: e for e, power in enumerate(powers)}
+    if not is_holonomy_cyclic(spec):
+        raise DomainError(f"holonomy of {spec.name} is not cyclic (order {len(holonomy_group(spec))})")
     ab = abelianization(spec)
-    n = spec.dim
-    gen_values = [0] * n + [exponent[g.linear] for g in spec.screws]
-    free_vals, tors_vals = ab.functional_on_basis(gen_values, k)
+    k, free_vals, tors_vals = _holonomy_character(ab)
     if any(v % k for v in tors_vals):
         raise InternalCheckError(
             "holonomy character does not kill the torsion subgroup"

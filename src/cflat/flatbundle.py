@@ -18,15 +18,15 @@ The public ``w1_of_line`` and ``c1_of_line`` check their input, as a
 ``FlatBundleSpec`` checks its summands; ``_w1_bits`` and ``_c1`` trust
 the summands of a built bundle.
 
-The angle checks and the Whitney path read angles through their
-integer numerators and denominators, with no ``Fraction`` arithmetic or
-comparison: a ``Fraction`` is kept in lowest terms, so 0 <= v < 1 is
-0 <= numerator < denominator, a real angle's bit is whether its
-denominator is 2, and c1 divides numerator times the holonomy order by
-the denominator.  A
-surface's ``CupTable`` holds the sum and the cup of every ordered pair
-of degree-one classes (its ``sums`` and ``cups`` tables), so
-``sw_vector`` and the classification walk look both up.
+The angle checks, the Whitney path and the structure results read
+angles through their integer numerators and denominators, with no
+``Fraction`` arithmetic or comparison: a ``Fraction`` is kept in lowest
+terms, so 0 <= v < 1 is 0 <= numerator < denominator, a real angle's bit
+is whether its denominator is 2, c1 divides numerator times the holonomy
+order by the denominator, and a cyclic total holonomy is read off one
+Smith form, never walked.  A surface's ``CupTable`` holds the sum and
+the cup of every ordered pair of degree-one classes (``sums``, ``cups``),
+so ``sw_vector`` and the classification walk look both up.
 """
 
 from __future__ import annotations
@@ -35,25 +35,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
 
 from .bieberbach import (
     AbelianizationData,
-    H1Element,
-    _cyclic_powers,
+    _holonomy_character,
     abelianization,
     catalog_group,
     holonomy_group,
 )
 from .errors import DomainError, InternalCheckError
-from .orbit import orbit
-from .zlinalg import IntMatrix
+from .zlinalg import IntMatrix, cokernel
 
 Mod2Class = tuple[int, ...]
 
-_TOTAL_HOLONOMY_BOUND = 4096
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
@@ -254,15 +251,6 @@ def line_with_w1(base: str, bits: Mod2Class) -> LineRep:
         if bit:
             row[pos] = _HALF
     return LineRep("real", tuple(row[:r]), tuple(row[r:]))
-
-
-def _evaluate(rep: LineRep, el: H1Element) -> Fraction:
-    total = Fraction(0)
-    for angle, c in zip(rep.free, el.free):
-        total += angle * c
-    for angle, c in zip(rep.torsion, el.torsion):
-        total += angle * c
-    return total % 1
 
 
 # ======================================================================
@@ -503,35 +491,29 @@ def sw_vector(bundle: FlatBundleSpec) -> CharClassVector:
 # ======================================================================
 
 
-def total_holonomy(bundle: FlatBundleSpec) -> tuple[tuple[IntMatrix, tuple[Fraction, ...]], ...]:
-    """Closure of (base linear part, summand angles) over the presentation
-    generators -- the lattice basis, with the identity linear part, then
-    the screws -- the holonomy image of the total space."""
-    data = base_data(bundle.base)
-    spec = data.ab.spec
-    ident = IntMatrix.identity(spec.dim)
-    moves = []
-    for idx, linear in enumerate([ident] * spec.dim + [g.linear for g in spec.screws]):
-        el = data.ab.gen_image(idx)
-        step = (linear, tuple(_evaluate(rep, el) for rep in bundle.summands))
-        moves.append(lambda elt, step=step: _compose(elt, step))
-    start = (ident, tuple(Fraction(0) for _ in bundle.summands))
-    overflow = DomainError(f"total holonomy closure exceeded bound {_TOTAL_HOLONOMY_BOUND}")
-    return tuple(orbit(start, moves, _TOTAL_HOLONOMY_BOUND, overflow))
-
-
-def _compose(a: tuple, b: tuple) -> tuple:
-    """Product of two (linear part, angles) holonomy elements."""
-    return (a[0] * b[0], tuple((x + y) % 1 for x, y in zip(a[1], b[1])))
-
-
 def _total_holonomy_cyclic(bundle: FlatBundleSpec) -> bool:
-    return _cyclic_powers(total_holonomy(bundle), _compose) is not None
-
-
-def _require_cyclic(bundle: FlatBundleSpec, what: str) -> None:
-    if not _total_holonomy_cyclic(bundle):
-        raise DomainError(f"{what} needs cyclic total holonomy")
+    """Whether the total holonomy (base linear part, summand angles) is
+    cyclic.  Every catalog holonomy is abelian, so the total holonomy is
+    the image of H_1 under the holonomy character into Z/k and the
+    summands' characters into Q/Z: cyclic exactly when the holonomy is
+    and H_1's invariant basis spans a cyclic subgroup of Z/k x (Q/Z)^r.
+    Over D, the lcm of k and the angles' denominators, that is the sum of
+    Z/(D/a) over the Smith divisors a of [rows | D I], one row for the
+    character and one per summand; the D/a form a divisor chain, so it
+    is cyclic exactly when at most one a differs from D."""
+    character = _holonomy_character(base_data(bundle.base).ab)
+    if character is None:
+        return False
+    k, free_vals, tors_vals = character
+    angles = [rep.free + rep.torsion for rep in bundle.summands]
+    d = lcm(k, *(v.denominator for row in angles for v in row))
+    if d == 1:
+        return True
+    rows = [[v * (d // k) for v in free_vals + tors_vals]]
+    rows += [[v.numerator * (d // v.denominator) for v in row] for row in angles]
+    n = len(rows)
+    m = IntMatrix._of([row + [d if i == j else 0 for j in range(n)] for i, row in enumerate(rows)], len(rows[0]) + n)
+    return n - cokernel(m).torsion.count(d) <= 1
 
 
 @dataclass(frozen=True)
@@ -549,7 +531,8 @@ def cyclic_structure(bundle: FlatBundleSpec) -> CyclicStructureResult:
     Orientable such bundles are trivial; nonorientable ones split as a
     trivial bundle plus the determinant line.
     """
-    _require_cyclic(bundle, "cyclic_structure")
+    if not _total_holonomy_cyclic(bundle):
+        raise DomainError("cyclic_structure needs cyclic total holonomy")
     s = bundle.rank
     w1 = orientation_character(bundle)
     if not any(w1):
@@ -575,7 +558,8 @@ def tangent_structure(bundle: FlatBundleSpec) -> TangentStructureResult:
     vanishes; otherwise the tangent bundle is trivial except for one
     line bundle with that class.
     """
-    _require_cyclic(bundle, "tangent_structure")
+    if not _total_holonomy_cyclic(bundle):
+        raise DomainError("tangent_structure needs cyclic total holonomy")
     w1_total = mod2_add(tangent_w1(bundle.base), orientation_character(bundle))
     m = bundle.total_dim
     if not any(w1_total):

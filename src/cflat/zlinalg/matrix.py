@@ -81,6 +81,8 @@ class IntMatrix:
         """The n x n identity; one shared instance per dimension."""
         ident = _IDENTITIES.get(n)
         if ident is None:
+            if n < 0:
+                raise DomainError(f"negative matrix size {n}")
             ident = _IDENTITIES[n] = cls._of(
                 [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
             )
@@ -88,6 +90,8 @@ class IntMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
+        if rows < 0 or cols < 0:
+            raise DomainError(f"negative matrix size {rows}x{cols}")
         return cls._of([[0] * cols for _ in range(rows)], cols)
 
     # -- access ------------------------------------------------------

@@ -18,7 +18,6 @@ from cflat.errors import DomainError
 from cflat.flatbundle import (
     FlatBundleSpec,
     LineRep,
-    _evaluate,
     base_data,
     c1_of_line,
     cup_table,
@@ -26,7 +25,6 @@ from cflat.flatbundle import (
     mod2_add,
     mod2_zero,
     sw_vector,
-    total_holonomy,
     w1_of_line,
 )
 from cflat.zlinalg import IntMatrix, inverse_unimodular
@@ -771,7 +769,49 @@ def codim1_classes(base: str) -> list[tuple]:
 def evaluate_on_generator(base: str, rep: LineRep, gen_index: int) -> Fraction:
     """The character's angle (mod 1) on the gen_index-th presentation
     generator: e_1, ..., e_dim, then the screws."""
-    return _evaluate(rep, base_data(base).ab.gen_image(gen_index))
+    el = base_data(base).ab.gen_image(gen_index)
+    total = Fraction(0)
+    for angle, c in zip(rep.free + rep.torsion, el.free + el.torsion):
+        total += angle * c
+    return total % 1
+
+
+# The total-holonomy walk: the oracle for flatbundle's closed-form test
+# of a cyclic total holonomy.  An element is (base linear part, summand
+# angles mod 1); the moves are the presentation generators.
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """Product of two (linear part, angles) holonomy elements."""
+    return (a[0] * b[0], tuple((x + y) % 1 for x, y in zip(a[1], b[1])))
+
+
+def total_holonomy(bundle: FlatBundleSpec) -> set:
+    """Closure of (base linear part, summand angles) over the presentation
+    generators -- the lattice basis, with the identity linear part, then
+    the screws -- the holonomy image of the total space."""
+    spec = base_data(bundle.base).ab.spec
+    ident = IntMatrix.identity(spec.dim)
+    moves = []
+    for idx, linear in enumerate([ident] * spec.dim + [g.linear for g in spec.screws]):
+        step = (linear, tuple(evaluate_on_generator(bundle.base, rep, idx) for rep in bundle.summands))
+        moves.append(partial(_compose, b=step))
+    return orbit((ident, (Fraction(0),) * len(bundle.summands)), moves)
+
+
+def total_holonomy_is_cyclic(bundle: FlatBundleSpec) -> bool:
+    """Whether the walked total holonomy is generated by one element.  An
+    element of a proper cyclic subgroup already walked generates none."""
+    hol = total_holonomy(bundle)
+    start = (IntMatrix.identity(base_data(bundle.base).ab.spec.dim), (Fraction(0),) * len(bundle.summands))
+    covered = set()
+    for g in hol:
+        if g not in covered:
+            powers = orbit(start, [partial(_compose, b=g)])
+            if len(powers) == len(hol):
+                return True
+            covered |= powers
+    return False
 
 
 def holonomy_image_order(bundle: FlatBundleSpec) -> int:

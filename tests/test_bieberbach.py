@@ -309,9 +309,14 @@ def test_h1_query_builds_each_piece_once_per_lattice(monkeypatch):
 def test_h1_query_takes_no_bareiss_determinant(monkeypatch):
     """The order of g0 settles det g0 = +-1, and the mapping torus's block
     g0 (+) 1 carries det g0: the h1 query runs no elimination for a
-    determinant."""
+    determinant.  Cold: the matrices and their lattices are fresh, so no
+    determinant or order is kept on them, and the cyclotomic tables are
+    cleared here.  Warm or cold: IntMatrix.identity's shared instances,
+    whose kept determinant would hide a call on one of them."""
     rng = random.Random(SEED + 42)
     matrices = [random_cyclotomic_lattice(rng, max_rank=8)[0] for _ in range(30)]
+    matrix._cyclotomic.cache_clear()
+    matrix._cyclotomic_candidates.cache_clear()
     dets = []
     det_inplace = backend.det_inplace
 
@@ -454,7 +459,9 @@ def test_mapping_torus_homology_makes_no_affine_product(monkeypatch):
 def test_mapping_torus_homology_walks_no_holonomy(monkeypatch):
     """A mapping torus lists its cyclic relator ([k], e_(n+1)) in closed
     form, so abelianizing it walks no holonomy; holonomy_group still
-    lists the k powers, identity first."""
+    lists the k powers, identity first.  Cold: each spec is fresh, so its
+    kept holonomy walk is not made yet.  No module-level cache keeps a
+    walk, so the pin clears none."""
     walks = []
     walk = bieberbach.orbit
 
@@ -513,7 +520,10 @@ def test_lattice_vector_matches_the_fraction_formula():
 
 def test_unimodular_inverse_is_built_only_when_read(monkeypatch):
     """The abelianization of a mapping torus inverts no Smith witness;
-    the splitting, which reads functionals on the invariant basis, does."""
+    the splitting, which reads functionals on the invariant basis, does.
+    Cold: the specs are fresh, and abelianization keeps nothing between
+    calls, so each splitting's abelianization builds its inverse anew.
+    No module-level cache keeps an inverse, so the pin clears none."""
     calls = []
     invert = bieberbach.inverse_unimodular
 

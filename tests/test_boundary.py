@@ -41,6 +41,8 @@ BOUNDARY = [
     ("line_with_w1, bit-vector length", lambda: line_with_w1("K", (1,)), DomainError, "bit-vector length mismatch"),
     ("w1_of_line, complex character", lambda: w1_of_line("K", LineRep("complex", (Fraction(1, 3),), (Fraction(0),))), DomainError, "w1_of_line takes a real character"),
     ("AbelianGroup, torsion below 2", lambda: AbelianGroup(0, (1, 2)), DomainError, r"torsion coefficients must be >= 2, got \(1, 2\)"),
+    ("IntMatrix.identity, negative size", lambda: IntMatrix.identity(-2), DomainError, "negative matrix size -2"),
+    ("IntMatrix.zeros, negative size", lambda: IntMatrix.zeros(2, -3), DomainError, "negative matrix size 2x-3"),
     ("IntMatrix product, shapes", lambda: ROW * ROW, DomainError, "cannot multiply 1x2 by 1x2"),
     ("IntMatrix times a scalar", lambda: ROW * 2, TypeError, "unsupported operand"),
     ("IntMatrix sum, shapes", lambda: ONE + ROW, DomainError, "shape mismatch: 1x1 vs 1x2"),

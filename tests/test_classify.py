@@ -41,7 +41,7 @@ from cflat.classify import (
     torus_moduli_canonical,
 )
 from cflat.errors import DomainError, InternalCheckError
-from cflat.flatbundle import CupTable, FlatBundleSpec, LineRep, line_with_w1, sw_vector
+from cflat.flatbundle import CupTable, FlatBundleSpec, LineRep, base_data, cup_table, line_with_w1, sw_vector
 
 F = Fraction
 
@@ -183,7 +183,12 @@ def test_state_walk_matches_count_vector_search():
 def test_state_walk_cup_budget(monkeypatch):
     """Design pin: the walk applies the Whitney rule a few dozen times per
     search, not once per line of every count vector (289 times at
-    dimension 20 over a surface)."""
+    dimension 20 over a surface).  Cold: the per-base caches
+    (``base_data``, ``cup_table``, ``aut_action``), cleared here, so the
+    first search over each base also counts the Wu check of its new cup
+    table.  ``_realized_values`` keeps nothing between calls."""
+    for cached in (base_data, cup_table, aut_action):
+        cached.cache_clear()
     calls = []
     cup = CupTable.cup
 

@@ -4,6 +4,7 @@ Whitney vectors, and the structure results."""
 
 import dataclasses
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -17,6 +18,8 @@ from conftest import (
     evaluate_on_generator,
     random_cyclotomic_lattice,
     sw_vector_pairwise,
+    total_holonomy,
+    total_holonomy_is_cyclic,
 )
 from cflat import cli, flatbundle
 from cflat.bieberbach import CATALOG_NAMES, abelianization, mapping_torus
@@ -24,8 +27,10 @@ from cflat.classify import _line_classes, aut_action, diffeo_classes, stably_dif
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import (
     C1Class,
+    CyclicStructureResult,
     FlatBundleSpec,
     LineRep,
+    TangentStructureResult,
     base_data,
     c1_of_line,
     cup_table,
@@ -38,7 +43,6 @@ from cflat.flatbundle import (
     sw_vector,
     tangent_structure,
     tangent_w1,
-    total_holonomy,
     validate_line,
     w1_of_line,
 )
@@ -526,11 +530,57 @@ def test_total_holonomy_is_closed_and_matches_recorded_values():
         assert got == expected, base
 
 
-def test_total_holonomy_walk_past_its_bound_raises(monkeypatch):
-    monkeypatch.setattr(flatbundle, "_TOTAL_HOLONOMY_BOUND", 3)
-    b = FlatBundleSpec("T2", (real_line(("1/2", 0)), real_line((0, "1/2"))))  # order 4
-    with pytest.raises(DomainError, match="^total holonomy closure exceeded bound 3$"):
-        total_holonomy(b)
+def _differential_bundles(rng, base):
+    """Seeded bundles for the closed-form cyclicity test: one to three
+    summands, real lines of random w1 or complex lines whose free angles
+    have denominators 1 to 4, with random torsion angles."""
+    group = base_data(base).ab.group
+    bits = len(base_data(base).mod2_positions)
+    summands = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.4:
+            summands.append(line_with_w1(base, tuple(rng.randint(0, 1) for _ in range(bits))))
+        else:
+            free = tuple(F(rng.randrange(q), q) for q in (rng.choice((1, 2, 3, 4)) for _ in range(group.free_rank)))
+            summands.append(LineRep("complex", free, tuple(F(rng.randrange(d), d) for d in group.torsion)))
+    return FlatBundleSpec(base, tuple(summands))
+
+
+def test_closed_form_cyclicity_matches_the_walk():
+    """The closed form agrees with the total-holonomy walk on 60 seeded
+    bundles over each of the 14 catalog bases.  Over the Klein four-group
+    bases (G6, B3, B4) the total holonomy is never cyclic; over S1 and G5,
+    whose H_1 is Z, it always is; every other base meets both answers."""
+    rng = random.Random(SEED + 45)
+    for base in CATALOG_NAMES:
+        answers = set()
+        for _ in range(60):
+            bundle = _differential_bundles(rng, base)
+            cyclic = flatbundle._total_holonomy_cyclic(bundle)
+            assert cyclic == total_holonomy_is_cyclic(bundle), bundle
+            answers.add(cyclic)
+        if base in ("G6", "B3", "B4"):
+            assert answers == {False}, base
+        elif base in ("S1", "G5"):
+            assert answers == {True}, base
+        else:
+            assert answers == {True, False}, base
+
+
+def test_large_total_holonomy_is_decided_at_once():
+    """Performance pin: the T2 bundle with complex summands (1/2, 0) and
+    (0, 1/2048), whose total holonomy Z/2 x Z/2048 has 4,096 elements, is
+    refused within 50 ms without listing them; the bundle (1/4097, 0),
+    whose cyclic total holonomy has 4,097 elements, is trivial."""
+    wide = FlatBundleSpec("T2", (LineRep("complex", (F(1, 2), F(0))), LineRep("complex", (F(0), F(1, 2048)))))
+    base_data("T2")  # the timing leaves out building T2's base data
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="^cyclic_structure needs cyclic total holonomy$"):
+        cyclic_structure(wide)
+    assert time.perf_counter() - start < 0.05
+    long = FlatBundleSpec("T2", (LineRep("complex", (F(1, 4097), F(0))),))
+    assert cyclic_structure(long) == CyclicStructureResult(trivial_rank=2, det_summand=None)
+    assert tangent_structure(long) == TangentStructureResult(parallelizable=True, total_dim=4, split_line_w1=None)
 
 
 def test_each_distinct_summand_is_validated_once(monkeypatch):
@@ -558,7 +608,9 @@ def test_each_distinct_summand_is_validated_once(monkeypatch):
 
 
 def test_building_a_bundle_hashes_no_fraction(monkeypatch):
-    """Summands are deduped by identity, so no Fraction angle is hashed."""
+    """Summands are deduped by identity, so no Fraction angle is hashed.
+    Cold: the per-base caches, cleared after the lines are made, so the
+    count also covers building T2's base data."""
     hashes = []
     fraction_hash = Fraction.__hash__
 
@@ -569,6 +621,7 @@ def test_building_a_bundle_hashes_no_fraction(monkeypatch):
     lam = line_with_w1("T2", (1, 1))
     rot = LineRep("complex", (F(1, 3), F(2, 5)))
     twin = LineRep("complex", (F(1, 3), F(2, 5)))  # equal to rot, not the same object
+    _clear_base_caches()
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     bundle = FlatBundleSpec("T2", (lam, rot, lam, twin, rot) * 8)
     assert hashes == []
@@ -731,3 +784,26 @@ def test_cold_catalog_runs_no_fraction_operator(monkeypatch):
         abelianization(mapping_torus(lat))
     monkeypatch.undo()
     assert calls == ["__new__"] * screws
+
+
+def test_structure_results_run_no_fraction_operator(monkeypatch):
+    """Performance pin: from cold per-base caches, cyclic_structure and
+    tangent_structure on fresh real and complex bundles over every
+    catalog base, refusals included, build no Fraction and call no
+    Fraction operator: the closed form reads numerators and
+    denominators."""
+    rng = random.Random(SEED + 63)
+    bundles = [bundle for base in CATALOG_NAMES for bundle in _seeded_bundles(rng, base)]
+    bundles += [_differential_bundles(rng, base) for base in CATALOG_NAMES for _ in range(4)]
+    _clear_base_caches()
+    calls = _count_fraction_operators(monkeypatch)
+    refused = 0
+    for bundle in bundles:
+        for structure in (cyclic_structure, tangent_structure):
+            try:
+                structure(bundle)
+            except DomainError:
+                refused += 1
+    monkeypatch.undo()
+    assert calls == []
+    assert 0 < refused < 2 * len(bundles)
