@@ -40,12 +40,12 @@ and the powers of a cyclic generator, which give the holonomy character
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
+from ._record import record
 from .errors import DomainError, InternalCheckError
 from .glattice import GLattice
 from .orbit import orbit
@@ -61,7 +61,7 @@ _ZERO = Fraction(0)
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class AffineMap:
     """x |-> linear @ x + translation, with exact rational translation."""
 
@@ -96,7 +96,7 @@ def _lattice_vector(*terms: tuple[IntMatrix, Sequence[Fraction]]) -> tuple[int, 
     return tuple(x // den for x in total)
 
 
-@dataclass(frozen=True)
+@record
 class BieberbachGroupSpec:
     """A named crystallographic group with translation lattice Z^dim.
 
@@ -114,7 +114,7 @@ class BieberbachGroupSpec:
     name: str
     dim: int
     screws: tuple[AffineMap, ...]
-    _cyclic_relator: tuple[int, tuple[int, ...]] | None = field(default=None, init=False, compare=False, repr=False)
+    _cyclic_relator = None  # kept outside the fields: no argument, not compared, not shown
 
     def __post_init__(self):
         for g in self.screws:
@@ -168,7 +168,7 @@ def _cyclic_powers(hol: Sequence[IntMatrix]) -> tuple[IntMatrix, ...] | None:
     or None when the group is not cyclic."""
     k = len(hol)
     overflow = InternalCheckError("a cyclic subgroup outgrew its group")
-    for g in hol:
+    for g in hol[1:] or hol:  # the identity generates only the trivial group
         powers = tuple(orbit(hol[0], [lambda m, g=g: m * g], k, overflow))
         if len(powers) == k:
             return powers
@@ -184,7 +184,7 @@ def is_holonomy_cyclic(spec: BieberbachGroupSpec) -> bool:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class H1Element:
     """An element of a computed first homology group, in invariant
     coordinates: free part over Z, torsion part reduced mod the chain."""
@@ -193,7 +193,7 @@ class H1Element:
     torsion: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class AbelianizationData:
     """First homology of a group spec plus the projection machinery.
 
@@ -389,7 +389,7 @@ def tors_h1_two_ways(lat: GLattice) -> tuple[AbelianGroup, AbelianGroup]:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class CyclicSplitting:
     """H_1 = <a> (+) B with the holonomy character faithful on <a>.
 
@@ -406,14 +406,14 @@ class CyclicSplitting:
     holonomy_order: int
 
 
-def _holonomy_character(ab: AbelianizationData) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+def _holonomy_character(
+    ab: AbelianizationData, powers: Sequence[IntMatrix]
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """k and the holonomy character's values mod k on H_1's free and
-    torsion basis, when the holonomy of ``ab.spec`` is cyclic of order k
-    (a screw maps to its exponent, a lattice vector to 0); else None."""
+    torsion basis, given the powers g^0, ..., g^(k-1) of a generator g of
+    the cyclic holonomy of ``ab.spec``, as ``_cyclic_powers`` lists them (a
+    screw maps to its exponent, a lattice vector to 0)."""
     spec = ab.spec
-    powers = _cyclic_powers(holonomy_group(spec))
-    if powers is None:
-        return None
     exponent = {power: e for e, power in enumerate(powers)}
     k = len(powers)
     gen_values = [0] * spec.dim + [exponent[g.linear] for g in spec.screws]
@@ -431,10 +431,11 @@ def cyclic_splitting(spec: BieberbachGroupSpec) -> CyclicSplitting:
     the torsion-free group that ``BieberbachGroupSpec`` requires and does
     not check: a spec with torsion can end in ``InternalCheckError``.
     """
-    if not is_holonomy_cyclic(spec):
+    powers = _cyclic_powers(holonomy_group(spec))  # walked once, for the check and the character
+    if powers is None:
         raise DomainError(f"holonomy of {spec.name} is not cyclic (order {len(holonomy_group(spec))})")
     ab = abelianization(spec)
-    k, free_vals, tors_vals = _holonomy_character(ab)
+    k, free_vals, tors_vals = _holonomy_character(ab, powers)
     if any(v % k for v in tors_vals):
         raise InternalCheckError(
             "holonomy character does not kill the torsion subgroup"

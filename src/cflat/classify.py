@@ -25,13 +25,13 @@ with the same ``orbit`` from one class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, lcm
 from operator import mul
 from types import MappingProxyType
 
+from ._record import record
 from .errors import DomainError, InternalCheckError
 from .flatbundle import (
     SURFACES,
@@ -108,7 +108,7 @@ def line_class_name(base: str, bits: Mod2Class) -> str:
     return SURFACES[base].line_names[sum(bit << i for i, bit in enumerate(bits))]
 
 
-@dataclass(frozen=True)
+@record
 class DiffeoClass:
     """One diffeomorphism class of total spaces: an orbit of Whitney
     data, with a realizing bundle and a readable name."""
@@ -238,7 +238,7 @@ def _published_class_count(base: str, total_dim: int) -> int:
     return 5
 
 
-@dataclass(frozen=True)
+@record
 class ClassificationReport:
     base: str
     total_dim: int
@@ -389,7 +389,7 @@ def circle_canonical(angle: Fraction) -> Fraction:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class Dim4Entry:
     label: str
     base: str
@@ -421,7 +421,7 @@ def dim4_table() -> tuple[Dim4Entry, ...]:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class AffineClassBound:
     epimorphisms: int
     representation_classes: int

@@ -31,16 +31,16 @@ so ``sw_vector`` and the classification walk look both up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
 
+from ._record import record
 from .bieberbach import (
     AbelianizationData,
+    _cyclic_powers,
     _holonomy_character,
     abelianization,
     catalog_group,
@@ -60,7 +60,7 @@ _HALF = Fraction(1, 2)
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class Surface:
     """What cflat states by hand about one of the bases it classifies
     over: the circle, the torus and the Klein bottle.
@@ -107,7 +107,7 @@ SURFACES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class BaseData:
     """A catalog base with its homology and mod-2 cohomology layout.
 
@@ -164,7 +164,7 @@ def mod2_str(base: str, bits: Mod2Class) -> str:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class LineRep:
     """A character of H_1 of the base: one angle (turn in [0,1)) per
     free generator and per torsion generator.  kind is "real" (angles
@@ -196,7 +196,7 @@ class LineRep:
 
 def _fractions(values) -> tuple[Fraction, ...]:
     """The angles as Fractions; Fraction inputs are kept as they are."""
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
+    return tuple([v if isinstance(v, Fraction) else Fraction(v) for v in values])
 
 
 def validate_line(base: str, rep: LineRep) -> None:
@@ -218,7 +218,7 @@ def validate_line(base: str, rep: LineRep) -> None:
             )
 
 
-@dataclass(frozen=True)
+@record
 class FlatBundleSpec:
     """A sum of flat line bundles over one catalog base."""
 
@@ -274,7 +274,7 @@ def _w1_bits(base: str, rep: LineRep) -> Mod2Class:
     return tuple([1 if row[pos].denominator == 2 else 0 for pos in base_data(base).mod2_positions])
 
 
-@dataclass(frozen=True)
+@record
 class C1Class:
     """First Chern class of a flat complex line bundle: an element of
     Hom(torsion of H_1, Z/modulus) where modulus is the base's holonomy
@@ -351,7 +351,7 @@ def det_line(bundle: FlatBundleSpec) -> LineRep:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class CupTable:
     """Mod-2 cup pairing H^1 x H^1 -> H^2 = Z/2 on the base's mod-2
     basis (the order of ``mod2_labels``), with its arithmetic as lookups.
@@ -364,8 +364,6 @@ class CupTable:
     """
 
     pairing: tuple[tuple[int, ...], ...]
-    sums: Mapping[tuple[Mod2Class, Mod2Class], Mod2Class] = field(init=False, compare=False, repr=False)
-    cups: Mapping[tuple[Mod2Class, Mod2Class], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.pairing)
@@ -445,7 +443,7 @@ def cup_table(base: str) -> CupTable:
 # ======================================================================
 
 
-@dataclass(frozen=True)
+@record
 class CharClassVector:
     """(w1, w2, c1 list) of a flat bundle.  w2 is None over a
     one-dimensional base."""
@@ -501,10 +499,11 @@ def _total_holonomy_cyclic(bundle: FlatBundleSpec) -> bool:
     Z/(D/a) over the Smith divisors a of [rows | D I], one row for the
     character and one per summand; the D/a form a divisor chain, so it
     is cyclic exactly when at most one a differs from D."""
-    character = _holonomy_character(base_data(bundle.base).ab)
-    if character is None:
+    ab = base_data(bundle.base).ab
+    powers = _cyclic_powers(holonomy_group(ab.spec))
+    if powers is None:
         return False
-    k, free_vals, tors_vals = character
+    k, free_vals, tors_vals = _holonomy_character(ab, powers)
     angles = [rep.free + rep.torsion for rep in bundle.summands]
     d = lcm(k, *(v.denominator for row in angles for v in row))
     if d == 1:
@@ -516,7 +515,7 @@ def _total_holonomy_cyclic(bundle: FlatBundleSpec) -> bool:
     return n - cokernel(m).torsion.count(d) <= 1
 
 
-@dataclass(frozen=True)
+@record
 class CyclicStructureResult:
     """The bundle is trivial_rank trivial lines plus (optionally) one
     determinant line."""
@@ -540,7 +539,7 @@ def cyclic_structure(bundle: FlatBundleSpec) -> CyclicStructureResult:
     return CyclicStructureResult(trivial_rank=s - 1, det_summand=det_line(bundle))
 
 
-@dataclass(frozen=True)
+@record
 class TangentStructureResult:
     """Tangent structure of the total space: parallelizable, or a
     trivial bundle plus one line with the recorded w1."""

@@ -26,9 +26,9 @@ counting formula reads its fixed-point count off that one group.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import cached_property
 
+from ._record import record
 from .errors import DomainError, InternalCheckError
 from .zlinalg import AbelianGroup, IntMatrix, cokernel, kernel_basis, rank_mod
 from .zlinalg.snf import _is_prime, _prime_divisors, solve_columns
@@ -37,7 +37,7 @@ _ORDER_BOUND = 10_000
 _PRIME_BOUND = 2**31 - 1
 
 
-@dataclass(frozen=True)
+@record
 class GLattice:
     """Z^n with one automorphism ``g0`` of finite order.
 
@@ -47,7 +47,6 @@ class GLattice:
     """
 
     g0: IntMatrix
-    _fixed_dims: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g0 = self.g0
@@ -59,6 +58,7 @@ class GLattice:
             if abs(g0.det()) != 1:
                 raise DomainError("matrix is not a lattice automorphism (det != +-1)") from None
             raise
+        object.__setattr__(self, "_fixed_dims", {})  # prime -> fixed dimension, filled by fixed_dim
 
     @property
     def rank(self) -> int:
@@ -181,7 +181,7 @@ def h1_triviality_certificate(lat: GLattice, q: int) -> TrivialityCertificate:
     return TrivialityCertificate.PROVEN_TRIVIAL
 
 
-@dataclass(frozen=True)
+@record
 class H1Report:
     """All H^1 computations for one lattice action, cross-checked."""
 

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
 
+from .._record import record
 from ..errors import DomainError
 
 
-@dataclass(frozen=True)
+@record
 class AbelianGroup:
     """Z^free_rank plus cyclic factors Z/d1 + ... + Z/dk, d1 | d2 | ... .
 

@@ -12,16 +12,16 @@ and a count of solutions mod m is read off the cokernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
+from .._record import record
 from ..errors import DomainError, InternalCheckError
 from . import backend
 from .abelian import AbelianGroup
 from .matrix import IntMatrix
 
 
-@dataclass(frozen=True)
+@record
 class SNFDecomposition:
     """Witnessed Smith normal form: ``u * matrix * v == d``.
 

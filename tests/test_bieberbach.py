@@ -4,7 +4,6 @@ and the classically known values, plus the splitting machinery."""
 import copy
 import pickle
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -637,7 +636,8 @@ def test_each_splitting_check_fires(monkeypatch):
 
     def no_free_rank(s):
         ab = abelianize(s)
-        return replace(ab, group=AbelianGroup(0, ab.group.torsion))
+        group = AbelianGroup(0, ab.group.torsion)
+        return AbelianizationData(ab.spec, group, ab.relation_matrix, ab.dec, ab.free_positions, ab.torsion_positions)
 
     def zero_character(self, gen_values, modulus):
         return (0,) * self.group.free_rank, (0,) * len(self.group.torsion)
@@ -652,6 +652,34 @@ def test_each_splitting_check_fires(monkeypatch):
             with pytest.raises(InternalCheckError, match=message):
                 cyclic_splitting(spec)
     assert cyclic_splitting(spec) == expected
+
+
+def test_cyclic_splitting_walks_the_powers_once(monkeypatch):
+    """cyclic_splitting walks the screw's powers once, for the cyclicity
+    check and the character together: k products, and one more for the
+    unimodular inverse, on each catalog base with cyclic holonomy of
+    order k.  The
+    specs are fresh, with their holonomy and their screws' orders made
+    first, so nothing earlier leaves a walk to reuse."""
+    products = [0]
+    mul = IntMatrix.__mul__
+
+    def counting_mul(self, other):
+        products[0] += 1
+        return mul(self, other)
+
+    for name in CATALOG_NAMES:
+        g = catalog_group(name)
+        spec = BieberbachGroupSpec(g.name, g.dim, g.screws)
+        if not is_holonomy_cyclic(spec):
+            continue
+        k = len(holonomy_group(spec))
+        abelianization(spec)
+        with monkeypatch.context() as m:
+            m.setattr(IntMatrix, "__mul__", counting_mul)
+            products[0] = 0
+            cyclic_splitting(spec)
+        assert products[0] == k + 1, name
 
 
 def test_cyclic_splitting_of_mapping_tori():

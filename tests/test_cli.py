@@ -1,7 +1,6 @@
 """The command-line interface: round-trips, determinism, exit codes,
 and every command shown in the README."""
 
-import dataclasses
 import json
 import os
 import re
@@ -316,7 +315,7 @@ def test_homology_walks_the_holonomy_once(monkeypatch, capsys):
     """homology reads one holonomy walk for the H_1 relator, the order
     and the cyclicity check; counted as the holonomy_group calls that
     multiply matrices, on specs no earlier call has walked."""
-    fresh = {name: dataclasses.replace(spec) for name, spec in bieberbach.catalog().items()}
+    fresh = {name: bieberbach.BieberbachGroupSpec(g.name, g.dim, g.screws) for name, g in bieberbach.catalog().items()}
     monkeypatch.setattr(bieberbach, "_CATALOG", fresh)
     products = [0]
     mul = IntMatrix.__mul__

@@ -2,7 +2,6 @@
 cup tables re-derived from the intersection forms, Chern classes,
 Whitney vectors, and the structure results."""
 
-import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -26,10 +25,12 @@ from cflat.bieberbach import CATALOG_NAMES, abelianization, mapping_torus
 from cflat.classify import _line_classes, aut_action, diffeo_classes, stably_diffeomorphic
 from cflat.errors import DomainError, InternalCheckError
 from cflat.flatbundle import (
+    BaseData,
     C1Class,
     CyclicStructureResult,
     FlatBundleSpec,
     LineRep,
+    Surface,
     TangentStructureResult,
     base_data,
     c1_of_line,
@@ -202,7 +203,8 @@ def test_each_cup_table_check_fires(monkeypatch):
     try:
         for base, pairing, message in faults:
             with monkeypatch.context() as m:
-                m.setitem(flatbundle.SURFACES, base, dataclasses.replace(flatbundle.SURFACES[base], cup=pairing))
+                s = flatbundle.SURFACES[base]
+                m.setitem(flatbundle.SURFACES, base, Surface(s.mod2_labels, s.mod2_positions, s.line_names, pairing, s.actions))
                 with pytest.raises(InternalCheckError, match=message):
                     cup_table(base)
     finally:
@@ -262,7 +264,7 @@ def test_c1_past_the_holonomy_order_is_an_internal_error(monkeypatch, capsys):
 
     def cut_holonomy(name):
         data = table(name)
-        return dataclasses.replace(data, holonomy_order=1)
+        return BaseData(data.ab, 1, data.mod2_labels, data.mod2_positions)
 
     monkeypatch.setattr(flatbundle, "base_data", cut_holonomy)
     line = LineRep("complex", (F(0),), (F(1, 2),))

@@ -1,13 +1,16 @@
 """Repository hygiene: the checkout tracks no file that .gitignore excludes,
 such as build output, egg-info metadata or saved test logs, the
-committed benchmark records are whole and small, and no module of
-cflat writes private state into another object."""
+committed benchmark records are whole and small, no module of cflat
+writes private state into another object, and importing the CLI loads
+no class-generation machinery."""
 
 import ast
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,14 @@ def test_frozen_objects_are_written_only_by_their_own_methods():
                 if not node.args or ast.unparse(node.args[0]) != "self":
                     found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found == []
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    """A fresh ``import cflat.cli`` leaves ``dataclasses`` and the
+    ``inspect`` module it pulls in unloaded: every CLI call pays the
+    import, and cflat's records are built without them."""
+    script = "import sys, cflat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -213,6 +213,8 @@ def test_the_table_holds_every_record_class():
 def test_record_semantics(cls, kwargs, differs, text):
     obj = cls(**kwargs)
     assert cls(*kwargs.values()) == obj and hash(cls(*kwargs.values())) == hash(obj)
+    first, *rest = kwargs
+    assert cls(kwargs[first], **{name: kwargs[name] for name in rest}) == obj
     assert cls(**{**kwargs, **differs}) != obj
     assert obj != object() and obj.__eq__(object()) is NotImplemented
     assert repr(obj) == text
@@ -235,6 +237,8 @@ def test_record_semantics(cls, kwargs, differs, text):
         cls(*kwargs.values(), None)
     with pytest.raises(TypeError):
         cls(**kwargs, unknown=None)
+    with pytest.raises(TypeError):
+        cls(kwargs[first], **kwargs)
     with pytest.raises(TypeError):
         cls()
 
