@@ -658,9 +658,8 @@ def test_cyclic_splitting_walks_the_powers_once(monkeypatch):
     """cyclic_splitting walks the screw's powers once, for the cyclicity
     check and the character together: k products, and one more for the
     unimodular inverse, on each catalog base with cyclic holonomy of
-    order k.  The
-    specs are fresh, with their holonomy and their screws' orders made
-    first, so nothing earlier leaves a walk to reuse."""
+    order k.  The specs are fresh, with their holonomy and their screws'
+    orders made first, so nothing earlier leaves a walk to reuse."""
     products = [0]
     mul = IntMatrix.__mul__
 
